@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from .coefficients import gamma_coeff, psi, rho, U_coeff
-from .numcore import (PrecisionError, _LOG2_10, _agree, to_mp, verified_eval)
+from .numcore import _LOG2_10, to_mp, verified_eval
 
 _REGION_KINDS = ("X", "Y", "Z", "ScurveBoundary", "TcurveBoundary",
                  "One", "Zero")
@@ -177,22 +177,17 @@ class ExpansionResult:
     error_order: str
 
 
-def _verified_terms(build: Callable[[], Sequence], digits: int,
-                    max_rounds: int = 6) -> list:
-    """Like verified_eval, but for a list of terms compared by their sum."""
-    prec = int((digits + 10) * _LOG2_10) + 20
-    for _ in range(max_rounds):
-        with mp.workprec(prec):
-            total_low = mp.fsum(build())
-        with mp.workprec(prec + 64):
-            terms = build()
-            total_high = mp.fsum(terms)
-            if _agree(total_low, total_high, digits):
-                return list(terms)
-        prec *= 2
-    raise PrecisionError(
-        f"no two-precision agreement to {digits} digits after "
-        f"{max_rounds} rounds")
+def _verified_terms(build: Callable[[], Sequence], digits: int) -> list:
+    """verified_eval on the sum of the built terms; returns the terms of
+    the last build, the higher-precision one."""
+    terms = []
+
+    def compute():
+        terms[:] = build()
+        return mp.fsum(terms)
+
+    verified_eval(compute, digits)
+    return terms
 
 
 def _check_order(n, R: int) -> None:

@@ -196,6 +196,17 @@ def _padded(seq: CoeffSequence, zeros: int) -> CoeffSequence:
         f"pad{zeros}:{seq.tag}" if seq.tag else None)
 
 
+_GAMMA_POLY_SEQ = CoeffSequence(lambda j: cf.gamma_coeff(j), "gamma[v]")
+
+
+def _psi_by_demoivre(r: int) -> PolyV:
+    """psi_r = sum_m tau_(r-m) I_m with the coefficients of
+    1/(1 + gamma_1 x + ...) read off De Moivre powers of the gamma series:
+    I_m = sum_k (-1)^k A(m, k; gamma_1, gamma_2, ...)."""
+    return sum((cf.tau(r - m) * (-1) ** k * demoivre(m, k, _GAMMA_POLY_SEQ)
+                for m in range(r + 1) for k in range(m + 1)), PolyV())
+
+
 def check_identities(max_n: int = 12) -> list:
     """The combinatorial ledger grounding the De Moivre machinery."""
     out = []
@@ -337,6 +348,12 @@ def check_identities(max_n: int = 12) -> list:
                for k in range(2 * j + 2)),
           cf.rho_zero(j), f"j={j}") for j in range(11)),
         "rho_j(0) from min-size-3 subset counts for j <= 10"))
+
+    out.append(_all_equal(
+        "psi-inversion-vs-demoivre",
+        ((cf.psi(r), _psi_by_demoivre(r), f"r={r}") for r in range(9)),
+        "psi_r by the reciprocal-series recurrence equals the De Moivre "
+        "inversion over polynomials in v for r <= 8"))
 
     # proof-relation anchors tying the beta family to rho and gamma
     out.append(_all_equal(

@@ -33,7 +33,7 @@ from .numcore import (GaussianRational, PrecisionError, format_bigfloat,
                       format_rational, parse_gaussian, parse_rational, to_mp)
 from .oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
                      oracle_psi, oracle_theta)
-from .polys import PolyV, Sqrt2Scaled
+from .polys import PolyV, RationalFnW, Sqrt2Scaled
 
 
 def _default_digits() -> int:
@@ -67,59 +67,57 @@ def _num_str(x, digits: int) -> str:
 # coeff
 # ---------------------------------------------------------------------------
 
-_POLY_FAMILIES = {"rho": rho, "gamma": gamma_coeff, "tau": tau, "psi": psi}
+_FAMILIES = {
+    "rho": lambda r, args: rho(r, args.mode),
+    "gamma": lambda r, args: gamma_coeff(r, args.mode),
+    "tau": lambda r, args: tau(r),
+    "psi": lambda r, args: psi(r),
+    "beta": lambda r, args: beta(r, args.mode),
+    "U": lambda r, args: U_coeff(r, args.mode,
+                                 taylor_terms=args.taylor_terms),
+}
 
 
-def _coeff_value(args, r: int):
-    """One family member, as (payload value, plain string)."""
-    family = args.family
-    if family in _POLY_FAMILIES:
-        fn = _POLY_FAMILIES[family]
-        poly = fn(r, args.mode) if family in ("rho", "gamma") else fn(r)
-        if args.v is not None:
-            return format_rational(poly(parse_rational(args.v)))
-        return str(poly)
-    if family == "beta":
-        b = beta(r, args.mode)
-        if args.v is not None:
-            b = Sqrt2Scaled(PolyV.const(b.poly(parse_rational(args.v))),
-                            b.half_pow)
-        return str(b)
-    # family == "U"
-    u = U_coeff(r, args.mode, taylor_terms=args.taylor_terms)
-    if args.w is not None:
-        w = parse_gaussian(args.w)
+def _coeff_value(args, x) -> str:
+    """One family member as text, evaluated at --v (and --w for U)."""
+    if isinstance(x, RationalFnW):
+        if args.w is None:
+            return str(x)
         v = parse_rational(args.v) if args.v is not None else Fraction(0)
-        return _num_str(u(w, v), args.digits)
-    return str(u)
+        return _num_str(x(parse_gaussian(args.w), v), args.digits)
+    if args.v is None:
+        return str(x)
+    v = parse_rational(args.v)
+    if isinstance(x, Sqrt2Scaled):
+        return str(Sqrt2Scaled(PolyV.const(x.poly(v)), x.half_pow))
+    return format_rational(x(v))
+
+
+def _coeff_record(args, r: int, x) -> dict:
+    """One --upto record: coefficient lists for the polynomial families."""
+    if isinstance(x, PolyV):
+        return {"r": r, "polyV": x.coeff_strings()}
+    if isinstance(x, Sqrt2Scaled):
+        return {"r": r, "polyV": x.poly.coeff_strings(),
+                "sqrt2Power": x.half_pow}
+    return {"r": r, "value": _coeff_value(args, x)}
 
 
 def cmd_coeff(args) -> int:
-    if args.family == "U":
-        if args.mode == "plain" and args.u_mode:
-            args.mode = args.u_mode
+    if args.family in ("tau", "psi") and args.mode != "plain":
+        raise ValueError(f"{args.family} has only the plain mode")
     if args.symbolic:
         args.v = None
         args.w = None
+    member = _FAMILIES[args.family]
     if args.upto is not None:
-        records = []
-        for r in range(args.upto + 1):
-            if args.family in _POLY_FAMILIES:
-                fn = _POLY_FAMILIES[args.family]
-                poly = fn(r, args.mode) if args.family in ("rho", "gamma") \
-                    else fn(r)
-                records.append({"r": r, "polyV": poly.coeff_strings()})
-            elif args.family == "beta":
-                b = beta(r, args.mode)
-                records.append({"r": r, "polyV": b.poly.coeff_strings(),
-                                "sqrt2Power": b.half_pow})
-            else:
-                records.append({"r": r, "value": _coeff_value(args, r)})
+        records = [_coeff_record(args, r, member(r, args))
+                   for r in range(args.upto + 1)]
         plain = "\n".join(json.dumps(rec, ensure_ascii=False)
                           for rec in records)
         _emit(args, records, plain)
         return 0
-    value = _coeff_value(args, args.r)
+    value = _coeff_value(args, member(args.r, args))
     _emit(args, value, value)
     return 0
 
@@ -127,6 +125,24 @@ def cmd_coeff(args) -> int:
 # ---------------------------------------------------------------------------
 # eval / oracle
 # ---------------------------------------------------------------------------
+
+_EXPANSIONS = {
+    "theta": lambda n, w, v, R, d: theta_expansion(n, v, R, d),
+    "gamma": lambda n, w, v, R, d: gamma_expansion(n, v, R, d),
+    "psi": lambda n, w, v, R, d: psi_expansion(n, v, R, d),
+    "S": S_expansion,
+    "T": T_expansion,
+}
+
+_ORACLES = {
+    "theta": lambda n, w, v, d: oracle_theta(n, v, d),
+    "psi": lambda n, w, v, d: oracle_psi(n, v, d),
+    "Ei": lambda n, w, v, d: oracle_Ei(n, d),
+    "factorial": lambda n, w, v, d: oracle_factorial(n, v),
+    "S": lambda n, w, v, d: oracle_S(n, _exact_w(w), v, d),
+    "T": lambda n, w, v, d: oracle_T(n, _exact_w(w), v),
+}
+
 
 def _parse_v(text):
     if text is None:
@@ -137,25 +153,20 @@ def _parse_v(text):
     return g
 
 
+def _parse_w(args):
+    if args.w is None:
+        if args.target in ("S", "T"):
+            raise ValueError(f"{args.command} {args.target} needs --w")
+        return None
+    return parse_gaussian(args.w)
+
+
 def cmd_eval(args) -> int:
     v = _parse_v(args.v)
-    w = parse_gaussian(args.w) if args.w is not None else None
+    w = _parse_w(args)
     R = args.terms
     digits = args.digits
-    if args.target == "theta":
-        res = theta_expansion(args.n, v, R, digits)
-    elif args.target == "gamma":
-        res = gamma_expansion(args.n, v, R, digits)
-    elif args.target == "psi":
-        res = psi_expansion(args.n, v, R, digits)
-    elif args.target == "S":
-        if w is None:
-            raise ValueError("eval S needs --w")
-        res = S_expansion(args.n, w, v, R, digits)
-    else:
-        if w is None:
-            raise ValueError("eval T needs --w")
-        res = T_expansion(args.n, w, v, R, digits)
+    res = _EXPANSIONS[args.target](args.n, w, v, R, digits)
     value = _num_str(res.value, digits)
     payload = {
         "target": args.target, "n": args.n, "v": str(v),
@@ -171,23 +182,8 @@ def cmd_eval(args) -> int:
 def cmd_oracle(args) -> int:
     v = args.v if args.v is not None else 0
     digits = args.digits
-    w = parse_gaussian(args.w) if args.w is not None else None
-    if args.target == "theta":
-        value = _num_str(oracle_theta(args.n, v, digits), digits)
-    elif args.target == "psi":
-        value = _num_str(oracle_psi(args.n, v, digits), digits)
-    elif args.target == "Ei":
-        value = _num_str(oracle_Ei(args.n, digits), digits)
-    elif args.target == "factorial":
-        value = str(oracle_factorial(args.n, v))
-    elif args.target == "S":
-        if w is None:
-            raise ValueError("oracle S needs --w")
-        value = _num_str(oracle_S(args.n, _exact_w(w), v, digits), digits)
-    else:
-        if w is None:
-            raise ValueError("oracle T needs --w")
-        value = _num_str(oracle_T(args.n, _exact_w(w), v), digits)
+    w = _parse_w(args)
+    value = _num_str(_ORACLES[args.target](args.n, w, v, digits), digits)
     payload = {"target": args.target, "n": args.n, "v": v,
                "w": str(w) if w is not None else None,
                "digits": digits, "value": value}
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mode", default="plain",
                     help="family variant (plain, tilde; U also accepts "
                          "vzero_harmonic, vzero_factorial, eulerian, taylor)")
-    pc.add_argument("--u-mode", default=None, help=argparse.SUPPRESS)
     pc.add_argument("--taylor-terms", type=int, default=None,
                     help="truncation order for U mode taylor")
     pc.set_defaults(fn=cmd_coeff)

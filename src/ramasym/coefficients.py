@@ -53,6 +53,49 @@ def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
     return PolyV.monomial(deg - m, Fraction(1, factorial(deg - m)))
 
 
+def _inner_sum(m: int, seq: CoeffSequence,
+               weight: Callable[[int], Fraction]) -> Fraction:
+    """sum_k weight(k) A(m, k; seq)."""
+    total = Fraction(0)
+    for k in range(m + 1):
+        A = demoivre(m, k, seq)
+        if A:
+            total += weight(k) * A
+    return total
+
+
+def _weighted_sum(mode: str, deg: int, weight: Callable[[int], Fraction],
+                  at_zero: bool = False) -> PolyV:
+    """sum_m outer(m) sum_k weight(k) A(m, k), the sum every polynomial
+    family is built from, over 1/(j+2) (plain) or 1/(j+2)! (tilde).
+
+    Only the m = deg term survives at v = 0; ``at_zero`` keeps just that
+    one, a constant polynomial equal to the family's value at v = 0.
+    """
+    _check_mode(mode)
+    if deg < 0:
+        raise ValueError("index must be nonnegative")
+    seq = _SEQ_H2 if mode == "plain" else _SEQ_F2
+    total = PolyV()
+    for m in range(deg if at_zero else 0, deg + 1):
+        inner = _inner_sum(m, seq, weight)
+        if inner:
+            total = total + _outer_weight(mode, m, deg) * inner
+    return total
+
+
+def _double_factorial_weight(base: int) -> Callable[[int], Fraction]:
+    """k -> (base + 2k)!! / ((-1)^k k!)."""
+    return lambda k: Fraction(double_factorial(base + 2 * k),
+                              (-1) ** k * factorial(k))
+
+
+def _rho_sum(r: int, mode: str, at_zero: bool = False) -> PolyV:
+    total = _weighted_sum(mode, 2 * r + 1, _double_factorial_weight(2 * r),
+                          at_zero)
+    return (1 if mode == "plain" and r == 0 else 0) - total
+
+
 @lru_cache(maxsize=None)
 def beta(s: int, mode: str = "plain") -> Sqrt2Scaled:
     """Raw saddle coefficient of index s, an exact multiple of sqrt(2)^(s-1).
@@ -60,19 +103,9 @@ def beta(s: int, mode: str = "plain") -> Sqrt2Scaled:
     beta(s) carries the half-integer power 2^((s-1)/2) explicitly; the
     polynomial part is rational.  beta(1).to_polyv() == 2/3.
     """
-    _check_mode(mode)
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    seq = _SEQ_H2 if mode == "plain" else _SEQ_F2
-    total = PolyV()
-    for m in range(s + 1):
-        inner = Fraction(0)
-        for k in range(m + 1):
-            A = demoivre(m, k, seq)
-            if A:
-                inner += Fraction(2) ** k * binomial(Fraction(-s - 1, 2), k) * A
-        if inner:
-            total = total + _outer_weight(mode, m, s) * inner
+    top = Fraction(-s - 1, 2)
+    total = _weighted_sum(mode, s,
+                          lambda k: Fraction(2) ** k * binomial(top, k))
     return Sqrt2Scaled(total, s - 1)
 
 
@@ -84,23 +117,7 @@ def rho(r: int, mode: str = "plain") -> PolyV:
     The tilde mode is the exponential-weight companion with
     rho_r = rho~_r + v * rho~_{r-1}.
     """
-    _check_mode(mode)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    seq = _SEQ_H2 if mode == "plain" else _SEQ_F2
-    total = PolyV()
-    for m in range(2 * r + 2):
-        inner = Fraction(0)
-        for k in range(m + 1):
-            A = demoivre(m, k, seq)
-            if A:
-                inner += Fraction(double_factorial(2 * r + 2 * k),
-                                  (-1) ** k * factorial(k)) * A
-        if inner:
-            total = total + _outer_weight(mode, m, 2 * r + 1) * inner
-    if mode == "plain":
-        return (PolyV.const(1) if r == 0 else PolyV()) - total
-    return -total
+    return _rho_sum(r, mode)
 
 
 @lru_cache(maxsize=None)
@@ -110,43 +127,37 @@ def gamma_coeff(r: int, mode: str = "plain") -> PolyV:
     gamma_coeff(0) == 1, gamma_coeff(1)(0) == 1/12,
     gamma_coeff(2)(0) == 1/288.  Same plain/tilde pairing as rho.
     """
-    _check_mode(mode)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    seq = _SEQ_H2 if mode == "plain" else _SEQ_F2
-    total = PolyV()
-    for m in range(2 * r + 1):
-        inner = Fraction(0)
-        for k in range(m + 1):
-            A = demoivre(m, k, seq)
-            if A:
-                inner += Fraction(double_factorial(2 * r + 2 * k - 1),
-                                  (-1) ** k * factorial(k)) * A
-        if inner:
-            total = total + _outer_weight(mode, m, 2 * r) * inner
-    return total
+    return _weighted_sum(mode, 2 * r, _double_factorial_weight(2 * r - 1))
 
 
 @lru_cache(maxsize=None)
 def tau(r: int) -> PolyV:
     """Companion coefficient tau_r(v) driving the psi family; tau(0) = -1/3 - v."""
+    return -_weighted_sum("plain", 2 * r + 1,
+                          _double_factorial_weight(2 * r - 1))
+
+
+@lru_cache(maxsize=None)
+def _gamma_reciprocal(m: int, at_zero: bool):
+    """[x^m] 1/(1 + gamma_1 x + gamma_2 x^2 + ...), over PolyV or at v = 0.
+
+    The reciprocal-series recurrence I_0 = 1,
+    I_m = -sum_{j=1..m} gamma_j I_(m-j) (Knuth, TAOCP vol. 2, 4.7).
+    """
+    if m == 0:
+        return Fraction(1) if at_zero else PolyV.const(1)
+    gamma = gamma_zero if at_zero else gamma_coeff
+    return -sum(gamma(j) * _gamma_reciprocal(m - j, at_zero)
+                for j in range(1, m + 1))
+
+
+def _psi_sum(r: int, at_zero: bool = False):
+    """psi_r = sum_m tau_(r-m) I_m, by series inversion of the gamma series."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    total = PolyV()
-    for m in range(2 * r + 2):
-        inner = Fraction(0)
-        for k in range(m + 1):
-            A = demoivre(m, k, _SEQ_H2)
-            if A:
-                inner += Fraction(double_factorial(2 * r + 2 * k - 1),
-                                  (-1) ** k * factorial(k)) * A
-        if inner:
-            total = total + Fraction((-1) ** (m + 1)) \
-                * binomial_poly(2 * r + 1 - m) * inner
-    return total
-
-
-_GAMMA_POLY_SEQ = CoeffSequence(lambda j: gamma_coeff(j), "gamma[v]")
+    tau_ = tau_zero if at_zero else tau
+    return sum(tau_(r - m) * _gamma_reciprocal(m, at_zero)
+               for m in range(r + 1))
 
 
 @lru_cache(maxsize=None)
@@ -154,89 +165,41 @@ def psi(r: int) -> PolyV:
     """Exponential-integral companion coefficient psi_r(v).
 
     Assembled by series inversion: psi_r = sum_m tau_{r-m} * I_m where I_m
-    are the coefficients of 1/(1 + gamma_1 x + gamma_2 x^2 + ...), computed
-    with the same power-coefficient engine over the polynomial ring in v.
-    psi(0) == -1/3 - v and psi(1)(0) == 4/135.
+    are the coefficients of 1/(1 + gamma_1 x + gamma_2 x^2 + ...) over the
+    polynomial ring in v.  psi(0) == -1/3 - v and psi(1)(0) == 4/135.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    total = PolyV()
-    for m in range(r + 1):
-        inner = PolyV()
-        for k in range(m + 1):
-            A = demoivre(m, k, _GAMMA_POLY_SEQ)
-            if A:
-                inner = inner + Fraction((-1) ** k) * A
-        if inner:
-            total = total + tau(r - m) * inner
-    return total
+    return _psi_sum(r)
 
 
 # ---------------------------------------------------------------------------
-# v = 0 specializations (single-sum forms; also the conjecture fast path)
+# v = 0 specializations: the m = deg term of each family's sum (also the
+# conjecture fast path)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def rho_zero(r: int, mode: str = "plain") -> Fraction:
     """rho_r(0) by its single-sum form over 1/(j+2) (plain) or 1/(j+2)! (tilde)."""
-    _check_mode(mode)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    seq = _SEQ_H2 if mode == "plain" else _SEQ_F2
-    s = Fraction(0)
-    for k in range(2 * r + 2):
-        A = demoivre(2 * r + 1, k, seq)
-        if A:
-            s += Fraction(double_factorial(2 * r + 2 * k),
-                          (-1) ** k * factorial(k)) * A
-    if mode == "plain":
-        return (Fraction(1) if r == 0 else Fraction(0)) + s
-    return -s
+    return _rho_sum(r, mode, at_zero=True).coeff(0)
 
 
 @lru_cache(maxsize=None)
 def gamma_zero(r: int, mode: str = "plain") -> Fraction:
     """gamma_r(0) by its single-sum form; both modes must agree."""
-    _check_mode(mode)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    seq = _SEQ_H2 if mode == "plain" else _SEQ_F2
-    s = Fraction(0)
-    for k in range(2 * r + 1):
-        A = demoivre(2 * r, k, seq)
-        if A:
-            s += Fraction(double_factorial(2 * r + 2 * k - 1),
-                          (-1) ** k * factorial(k)) * A
-    return s
+    return _weighted_sum(mode, 2 * r, _double_factorial_weight(2 * r - 1),
+                         at_zero=True).coeff(0)
 
 
 @lru_cache(maxsize=None)
 def tau_zero(r: int) -> Fraction:
-    s = Fraction(0)
-    for k in range(2 * r + 2):
-        A = demoivre(2 * r + 1, k, _SEQ_H2)
-        if A:
-            s += Fraction(double_factorial(2 * r + 2 * k - 1),
-                          (-1) ** k * factorial(k)) * A
-    return s
-
-
-_GAMMA_ZERO_SEQ = CoeffSequence(lambda j: gamma_zero(j), "gamma[0]")
+    return -_weighted_sum("plain", 2 * r + 1,
+                          _double_factorial_weight(2 * r - 1),
+                          at_zero=True).coeff(0)
 
 
 @lru_cache(maxsize=None)
 def psi_zero(r: int) -> Fraction:
     """psi_r(0) via the same inversion as psi, specialized to v = 0."""
-    total = Fraction(0)
-    for m in range(r + 1):
-        inner = Fraction(0)
-        for k in range(m + 1):
-            A = demoivre(m, k, _GAMMA_ZERO_SEQ)
-            if A:
-                inner += Fraction((-1) ** k) * A
-        if inner:
-            total += tau_zero(r - m) * inner
-    return total
+    return _psi_sum(r, at_zero=True)
 
 
 @dataclass(frozen=True)
@@ -294,50 +257,21 @@ def U_coeff(r: int, mode: str = "plain",
     if r < 0:
         raise ValueError("r must be nonnegative")
 
-    if mode == "plain":
-        num = w_minus_1_pow(2 * r + 1) if r == 0 else PolyW()
-        for m in range(r + 1):
+    if mode in ("plain", "tilde", "vzero_harmonic", "vzero_factorial"):
+        # one sum over m and k; the v = 0 modes keep only its m = r term
+        form = "plain" if mode in ("plain", "vzero_harmonic") else "tilde"
+        seq = _SEQ_H1 if form == "plain" else _SEQ_F1
+        num = w_minus_1_pow(1) if r == 0 and form == "plain" else PolyW()
+        for m in range(r if mode.startswith("vzero") else 0, r + 1):
+            outer = _outer_weight(form, m, r)
             for k in range(m + 1):
-                A = demoivre(m, k, _SEQ_H1)
+                A = demoivre(m, k, seq)
                 if A:
-                    c = Fraction((-1) ** (m + 1) * factorial(r + k),
-                                 factorial(k)) * A
-                    num = num + PolyW.w_monomial(1, binomial_poly(r - m) * c) \
-                        * w_minus_1_pow(r - k)
-        return RationalFnW(num, 2 * r + 1)
-
-    if mode == "tilde":
-        num = PolyW()
-        for m in range(r + 1):
-            for k in range(m + 1):
-                A = demoivre(m, k, _SEQ_F1)
-                if A:
-                    c = Fraction(-((-1) ** k) * factorial(r + k),
-                                 factorial(r - m) * factorial(k)) * A
+                    sign = 1 if form == "plain" else (-1) ** k
+                    c = Fraction(-sign * factorial(r + k), factorial(k)) * A
                     num = num + PolyW.w_monomial(
-                        k, PolyV.monomial(r - m, c)) * w_minus_1_pow(r - k)
-        return RationalFnW(num, 2 * r + 1)
-
-    if mode == "vzero_harmonic":
-        num = w_minus_1_pow(2 * r + 1) if r == 0 else PolyW()
-        for k in range(r + 1):
-            A = demoivre(r, k, _SEQ_H1)
-            if A:
-                c = Fraction((-1) ** (r + 1) * factorial(r + k),
-                             factorial(k)) * A
-                num = num + PolyW.w_monomial(1, PolyV.const(c)) \
-                    * w_minus_1_pow(r - k)
-        return RationalFnW(num, 2 * r + 1)
-
-    if mode == "vzero_factorial":
-        num = PolyW()
-        for k in range(r + 1):
-            A = demoivre(r, k, _SEQ_F1)
-            if A:
-                c = Fraction((-1) ** (k + 1) * factorial(r + k),
-                             factorial(k)) * A
-                num = num + PolyW.w_monomial(k, PolyV.const(c)) \
-                    * w_minus_1_pow(r - k)
+                        1 if form == "plain" else k, outer * c) \
+                        * w_minus_1_pow(r - k)
         return RationalFnW(num, 2 * r + 1)
 
     if mode == "eulerian":

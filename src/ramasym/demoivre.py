@@ -108,8 +108,19 @@ _TABLES: dict[str, _PowerTable] = {}
 
 
 def clear_caches() -> None:
-    """Drop all memoized triangles (mainly for benchmarks and tests)."""
+    """Drop every memo in the package (mainly for benchmarks and tests):
+    the triangles, every ``lru_cache`` of the coefficient, polynomial and
+    combinatorial modules, and the Stirling and Eulerian rows past their
+    seed rows."""
+    from . import coefficients, combinat, polys
     _TABLES.clear()
+    for mod in (coefficients, combinat, polys):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    for rows in combinat._STIRLING.values():
+        del rows[1:]
+    del combinat._EULERIAN2[1:]
 
 
 def _table(seq: CoeffSequence) -> _PowerTable:

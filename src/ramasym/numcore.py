@@ -50,19 +50,6 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one exact field operation; division by zero raises."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
@@ -146,8 +133,13 @@ class GaussianRational:
             raise TypeError("only integer powers are exact")
         base = self if n >= 0 else self.inverse()
         result = GaussianRational(Fraction(1), Fraction(0))
-        for _ in range(abs(n)):
-            result = result * base
+        n = abs(n)
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -270,44 +262,6 @@ def verified_eval(compute: Callable[[], object], digits: int,
         prec *= 2
     raise PrecisionError(
         f"no agreement to {digits} digits after {max_rounds} escalations")
-
-
-_ELEMENTARY = ("exp", "log", "sqrt", "arg", "pow")
-
-
-def elementary(fn: str, x, digits: int, y=None):
-    """Verified elementary function on the principal branch.
-
-    ``fn`` is one of exp, log, sqrt, arg, pow (pow takes the extra
-    argument ``y``).  log/arg of zero raise, as does 0**y for y <= 0.
-    """
-    if fn not in _ELEMENTARY:
-        raise ValueError(f"unknown elementary function {fn!r}")
-    zero_input = (
-        x == 0 if isinstance(x, (int, Fraction)) else
-        not x if isinstance(x, GaussianRational) else
-        to_mp(x) == 0
-    )
-    if fn in ("log", "arg") and zero_input:
-        raise ValueError(f"{fn} is undefined at 0")
-    if fn == "pow" and zero_input:
-        if isinstance(y, (int, Fraction)) and y > 0:
-            return mp.mpf(0)
-        raise ValueError("0**y is undefined for y <= 0")
-
-    def compute():
-        z = to_mp(x)
-        if fn == "exp":
-            return mp.exp(z)
-        if fn == "log":
-            return mp.log(z)
-        if fn == "sqrt":
-            return mp.sqrt(z)
-        if fn == "arg":
-            return mp.arg(z)
-        return mp.power(z, to_mp(y))
-
-    return verified_eval(compute, digits)
 
 
 def format_bigfloat(x, digits: int) -> str:

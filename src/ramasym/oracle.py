@@ -20,28 +20,6 @@ from mpmath import mp
 from . import asymptotics
 from .numcore import GaussianRational, to_mp, verified_eval
 
-# Euler-Mascheroni constant, 1010 decimal digits (standard published value;
-# reproducible with any multiple-precision library at dps >= 1010).
-EULER_GAMMA_STR = (
-    "0.577215664901532860606512090082402431042159335939923598805767234884"
-    "86772677766467093694706329174674951463144724980708248096050401448654"
-    "28362241739976449235362535003337429373377376739427925952582470949160"
-    "08735203948165670853233151776611528621199501507984793745085705740029"
-    "92135478614669402960432542151905877553526733139925401296742051375413"
-    "95491116851028079842348775872050384310939973613725530608893312676001"
-    "72479537836759271351577226102734929139407984301034177717780881549570"
-    "66107501016191663340152278935867965497252036212879226555953669628176"
-    "38879272680132431010476505963703947394957638906572967929601009015125"
-    "19595092224350140934987122824794974719564697631850667612906381105182"
-    "41974448678363808617494551698927923018773910729457815543160050021828"
-    "44096053772434203285478367015177394398700302370339518328690001558193"
-    "98804270741154222781971652301107356583396734871765049194181230004065"
-    "46931429992977795693031005030863034185698032310836916400258929708909"
-    "854868257773642882539549258736295961332985747393023734388471"
-)
-
-_EULER_GAMMA_DIGITS = len(EULER_GAMMA_STR) - 2
-
 _LOG10_E = log10(2.718281828459045)
 
 
@@ -134,19 +112,14 @@ def oracle_Ei(n: int, digits: int = 50):
     """Exponential integral Ei(n) by the convergent series.
 
     Ei(n) = gamma_E + ln n + sum_{k>=1} n^k/(k k!), with the
-    Euler-Mascheroni constant read from the embedded literal.
+    Euler-Mascheroni constant at working precision.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be a positive integer")
     cancel = int(n * _LOG10_E) + 10
-    if digits + cancel + 20 > _EULER_GAMMA_DIGITS:
-        raise ValueError(
-            f"digits beyond the embedded constant's precision "
-            f"({_EULER_GAMMA_DIGITS} digits)")
 
     def compute():
-        gamma_e = mp.mpf(EULER_GAMMA_STR)
-        total = gamma_e + mp.log(n)
+        total = +mp.euler + mp.log(n)
         term = mp.mpf(1)
         floor = mp.mpf(10) ** (-(mp.dps + 10))
         k = 1

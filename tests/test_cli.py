@@ -76,6 +76,12 @@ class TestCoeff:
         code, _, err = run(capsys, "coeff", "rho", "--r", "-2")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("family", ["psi", "tau"])
+    def test_plain_only_family_rejects_other_modes(self, capsys, family):
+        code, out, err = run(capsys, "coeff", family, "--r", "1",
+                             "--mode", "bogus")
+        assert code == 1 and out == "" and "error:" in err
+
 
 class TestEval:
     def test_theta_payload(self, capsys):

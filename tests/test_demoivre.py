@@ -1,5 +1,6 @@
 """Power-series composition coefficients and their closed-form shortcuts."""
 
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramasym import combinat
+from ramasym.coefficients import U_coeff, psi, psi_zero, rho, rho_zero
+from ramasym.combinat import enumerate_oracle, eulerian2, stirling
 from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
                               clear_caches, demoivre, harmonic,
                               inv_factorial, special_closed_forms,
@@ -170,7 +174,24 @@ class TestClosedForms:
             special_closed_forms(3, 2, "nonsense")
 
 
+def _package_lru_caches():
+    return [obj for name, mod in sys.modules.items()
+            if name.startswith("ramasym")
+            for obj in vars(mod).values() if hasattr(obj, "cache_info")]
+
+
 def test_clear_caches_preserves_results():
-    before = demoivre(7, 3, harmonic())
+    def compute():
+        return (demoivre(7, 3, harmonic()), rho(6), rho_zero(6, "tilde"),
+                psi(3), psi_zero(5), U_coeff(3), stirling("cycle", 9, 4),
+                eulerian2(7, 3), enumerate_oracle("subset", 6, 2, 2))
+
+    before = compute()
+    caches = _package_lru_caches()
+    assert any(c.cache_info().currsize for c in caches)
     clear_caches()
-    assert demoivre(7, 3, harmonic()) == before
+    for c in caches:
+        assert c.cache_info().currsize == 0, c
+    assert combinat._STIRLING == {"cycle": [[1]], "subset": [[1]]}
+    assert combinat._EULERIAN2 == [[1]]
+    assert compute() == before

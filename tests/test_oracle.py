@@ -8,8 +8,8 @@ import pytest
 from mpmath import mp
 
 from ramasym.numcore import GaussianRational, to_mp
-from ramasym.oracle import (EULER_GAMMA_STR, ProbeRow, convergence_probe,
-                            oracle_Ei, oracle_S, oracle_T, oracle_factorial,
+from ramasym.oracle import (ProbeRow, convergence_probe, oracle_Ei,
+                            oracle_S, oracle_T, oracle_factorial,
                             oracle_psi, oracle_theta)
 
 
@@ -136,10 +136,10 @@ class TestOracleFactorial:
 
 class TestOracleEi:
     def test_against_mpmath(self):
-        for n in (1, 7, 30):
-            got = oracle_Ei(n, 45)
-            with mp.workprec(400):
-                assert abs(got - mpmath.ei(n)) < mp.mpf(10) ** -43 \
+        for n, digits in ((1, 45), (7, 45), (30, 45), (10, 2000)):
+            got = oracle_Ei(n, digits)
+            with mp.workprec(int(digits * 3.33) + 100):
+                assert abs(got - mpmath.ei(n)) < mp.mpf(10) ** (2 - digits) \
                     * max(1, abs(mpmath.ei(n))), n
 
     def test_against_quadrature(self):
@@ -153,10 +153,6 @@ class TestOracleEi:
                 ref = mp.euler + mp.log(n) + quad
                 assert abs(got - ref) < mp.mpf(10) ** -8, n
 
-    def test_digit_budget_guard(self):
-        with pytest.raises(ValueError):
-            oracle_Ei(10, 2000)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             oracle_Ei(0, 30)
@@ -164,9 +160,10 @@ class TestOracleEi:
 
 class TestOraclePsi:
     def test_direct_recompute(self):
-        for n, v in ((8, 0), (15, 2)):
+        for n, v in ((8, 0), (15, 2), (1100, 0)):
             got = oracle_psi(n, v, 35)
-            with mp.workprec(500):
+            # the head sum cancels about n log10(e) digits
+            with mp.workprec(500 + 2 * n):
                 head = mp.mpf(0)
                 for j in range(n + v):
                     head += mp.factorial(j) / mp.mpf(n) ** j
@@ -178,18 +175,6 @@ class TestOraclePsi:
         # psi_n(0) tends to -1/3 as n grows
         val = oracle_psi(300, 0, 30)
         assert abs(val + mp.mpf(1) / 3) < mp.mpf("0.01")
-
-
-class TestEulerGammaLiteral:
-    def test_prefix_matches_mpmath(self):
-        with mp.workprec(3400):
-            ref = mp.nstr(mp.euler, 960, strip_zeros=False)
-        assert EULER_GAMMA_STR.startswith(ref[:900])
-
-    def test_shape(self):
-        assert EULER_GAMMA_STR.startswith("0.5772156649015328606")
-        assert len(EULER_GAMMA_STR) > 1000
-        assert set(EULER_GAMMA_STR[2:]) <= set("0123456789")
 
 
 class TestConvergenceProbe:
