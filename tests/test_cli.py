@@ -1,10 +1,15 @@
 """Command-line interface: formats, exit codes, and round-tripping."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ramasym
 from ramasym.cli import main
 from ramasym.coefficients import gamma_coeff, rho
 from ramasym.numcore import parse_rational
@@ -141,6 +146,12 @@ class TestOracleCommand:
                            "--digits", "20", "--format", "plain")
         assert code == 0 and out.startswith("2492.228976")
 
+    def test_s_small_w_is_not_rounded_away(self, capsys):
+        # F = e^(nw) n!/(nw)^n has about 611 digits here, all cancelled
+        code, out, _ = run(capsys, "oracle", "S", "--n", "1000", "--w",
+                           "1/10", "--digits", "30", "--format", "plain")
+        assert code == 0 and out.startswith("1.110974139733015457895066")
+
 
 class TestClassifyCommand:
     def test_real_point_right_of_curve(self, capsys):
@@ -230,6 +241,18 @@ class TestParsingAndEnvironment:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(ramasym.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramasym", "oracle", "T", "--n", "5",
+             "--w", "1/2+1/3i", "--format", "plain"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "68476482/232058125-1457894028/232058125i\n"
 
     def test_env_precision_sets_default_digits(self, capsys, monkeypatch):
         monkeypatch.setenv("RAMA_PRECISION", "8")

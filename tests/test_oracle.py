@@ -46,6 +46,24 @@ class TestOracleT:
         want = reference_T(6, w, 1)
         assert got == want
 
+    @pytest.mark.parametrize("n,w,v", [
+        (6, GaussianRational(Fraction(-1, 2), Fraction(2, 3)), 0),
+        (9, GaussianRational(Fraction(-5, 4), Fraction(-1, 6)), 2),
+        (7, GaussianRational(Fraction(3, 5), Fraction(0)), 1),
+        (8, GaussianRational(Fraction(0), Fraction(-3, 2)), -2),
+        (5, Fraction(-7, 3), -3),
+        (4, Fraction(5, 2), -4),
+        (4, GaussianRational(Fraction(1, 2), Fraction(1, 3)), -4),
+        (300, Fraction(3, 4), 0),
+        (300, GaussianRational(Fraction(-3, 4), Fraction(1, 4)), -2),
+    ])
+    def test_integer_recurrence_paths(self, n, w, v):
+        # negative real parts, a zero imaginary part, v < 0, n + v = 0 and
+        # a few hundred terms, each against the Fraction loop
+        got = oracle_T(n, w, v)
+        assert got == reference_T(n, w, v)
+        assert type(got) is type(w)
+
     def test_integer_w_coerces(self):
         assert oracle_T(4, 2, 0) == reference_T(4, Fraction(2), 0)
 
@@ -66,8 +84,13 @@ class TestOracleT:
 class TestOracleS:
     def test_against_forward_tail_series(self):
         # S equals sum_{i>=0} (nw)^i (n+v)! / (n+v+i)!, summed directly
+        # at small |w|, F = e^(nw) (n+v)!/(nw)^(n+v) and T agree to about
+        # log10|F| digits (611 at n = 1000, w = 1/10; 3140 at n = 2000,
+        # w = 1/100), all of which the subtraction cancels
         for n, w, v in ((20, Fraction(1, 2), 1), (15, Fraction(-2, 3), 0),
-                        (12, Fraction(1), 2)):
+                        (12, Fraction(1), 2), (1000, Fraction(1, 10), 0),
+                        (2000, Fraction(1, 100), 0), (1000, Fraction(3, 4), 0),
+                        (1000, Fraction(-3, 4), 0)):
             got = oracle_S(n, w, v, 40)
             with mp.workprec(400):
                 nw = to_mp(Fraction(n) * w)
@@ -118,6 +141,17 @@ class TestOracleTheta:
                     / mp.mpf(n) ** (n + v)
                 assert abs(got - val) < mp.mpf(10) ** -36, (n, v)
 
+    def test_large_n_against_incomplete_gamma(self):
+        # sum_{j<m} n^j/j! = e^n Q(m, n) with the regularized upper
+        # incomplete gamma function Q, so theta = e^n (1/2 - Q) m!/n^m
+        n = m = 5000
+        got = oracle_theta(n, 0, 30)
+        with mp.workprec(300):
+            q = mpmath.gammainc(m, n, mpmath.inf, regularized=True)
+            val = mp.exp(n) * (mp.mpf(1) / 2 - q) * mp.factorial(m) \
+                / mp.mpf(n) ** m
+            assert abs(got - val) < mp.mpf(10) ** -29
+
     def test_median_limit(self):
         # theta_n(0) tends to 1/3, and sits near it already at n = 200
         val = oracle_theta(200, 0, 30)
@@ -136,7 +170,8 @@ class TestOracleFactorial:
 
 class TestOracleEi:
     def test_against_mpmath(self):
-        for n, digits in ((1, 45), (7, 45), (30, 45), (10, 2000)):
+        for n, digits in ((1, 45), (7, 45), (30, 45), (10, 2000),
+                          (3000, 50)):
             got = oracle_Ei(n, digits)
             with mp.workprec(int(digits * 3.33) + 100):
                 assert abs(got - mpmath.ei(n)) < mp.mpf(10) ** (2 - digits) \
@@ -170,6 +205,19 @@ class TestOraclePsi:
                 val = (n * mp.exp(-n) * mpmath.ei(n) - head) \
                     * mp.mpf(n) ** (n + v) / mp.factorial(n + v)
                 assert abs(got - val) < mp.mpf(10) ** -30, (n, v)
+
+    def test_large_n_against_mpmath_ei(self):
+        n, digits = 2500, 50
+        got = oracle_psi(n, 0, digits)
+        # the head sum cancels about n log10(e) digits
+        with mp.workprec(int((digits + n * math.log10(math.e)) * 3.33) + 200):
+            head = term = mp.mpf(1)
+            for j in range(1, n):
+                term = term * j / n
+                head += term
+            val = (n * mp.exp(-n) * mpmath.ei(n) - head) \
+                * mp.mpf(n) ** n / mp.factorial(n)
+            assert abs(got - val) < mp.mpf(10) ** -(digits - 2)
 
     def test_limit_value(self):
         # psi_n(0) tends to -1/3 as n grows
