@@ -20,8 +20,7 @@ from .numcore import (GaussianRational, PrecisionError, Rational,
                       parse_rational, to_mp, verified_eval)
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
 from .demoivre import (CoeffSequence, clear_caches, demoivre, harmonic,
-                       inv_factorial, special_closed_forms, strip_first,
-                       strip_r)
+                       inv_factorial, special_closed_forms, strip_r)
 from .combinat import (binomial, double_factorial, enumerate_oracle,
                        eulerian2, stirling, stirling_associated)
 from .coefficients import (ConjectureReport, ConjectureRow, SaddleCoefficient,
@@ -52,6 +51,6 @@ __all__ = [
     "oracle_theta", "parse_gaussian", "parse_rational", "phi", "psi",
     "psi_expansion", "psi_zero", "rho", "rho_zero", "run_all",
     "run_identity_suite", "special_closed_forms", "stirling",
-    "stirling_associated", "strip_first", "strip_r", "szego_curve", "tau",
-    "tau_zero", "theta_expansion", "to_mp", "verified_eval",
+    "stirling_associated", "strip_r", "szego_curve", "tau", "tau_zero",
+    "theta_expansion", "to_mp", "verified_eval",
 ]

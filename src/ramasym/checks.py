@@ -25,7 +25,7 @@ from .combinat import (binomial, double_factorial, enumerate_oracle,
                        eulerian2, stirling, stirling_associated)
 from .demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence, demoivre,
                        harmonic, inv_factorial, special_closed_forms,
-                       strip_first, strip_r)
+                       strip_r)
 from .numcore import GaussianRational, to_mp
 from .oracle import convergence_probe
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
@@ -278,10 +278,6 @@ def check_identities(max_n: int = 12) -> list:
                         yield strip_r(n, k, r, base), \
                             demoivre(n, k, shifted), \
                             f"{name} r={r} n={n} k={k}"
-        for n in range(max_n + 1):
-            for k in range(min(n, 6) + 1):
-                yield strip_first(n, k, harmonic(0)), \
-                    demoivre(n, k, harmonic(1)), f"first n={n} k={k}"
 
     out.append(_all_equal(
         "strip-leading-terms", strip_pairs(),
@@ -390,7 +386,13 @@ def check_identities(max_n: int = 12) -> list:
 # the sign conjecture, the saddle engine, convergence, regions
 # ---------------------------------------------------------------------------
 
-def check_conjecture_range(max_r: int = 100) -> list:
+_CONJECTURE_MAX_R = 100
+
+
+def check_conjecture_range(max_r: Optional[int] = None) -> list:
+    """The sign conjecture for r <= max_r (default _CONJECTURE_MAX_R)."""
+    if max_r is None:
+        max_r = _CONJECTURE_MAX_R
     report = cf.check_conjecture(max_r)
     bad = [row for row in report.rows if not row.equal]
     detail = f"{sum(r.equal for r in report.rows)}/{len(report.rows)} equal"
@@ -566,7 +568,7 @@ def run_identity_suite(max_r: Optional[int] = None) -> list:
     return sorted(results, key=lambda r: r.item)
 
 
-def run_all(max_r_conjecture: int = 100) -> list:
+def run_all(max_r_conjecture: Optional[int] = None) -> list:
     results = run_identity_suite()
     results += check_conjecture_range(max_r_conjecture)
     results += check_convergence()

@@ -8,9 +8,10 @@ Subcommands:
   szego     sample the boundary curve as CSV
   verify    run the verification ledger suites
 
-JSON is the default output format (CSV for curve/probe tables); pass
-``--format plain`` for bare text.  The RAMA_PRECISION environment variable
-overrides the default working precision of 50 digits.  Exit status: 0 on
+JSON is the default output format (CSV for szego, plain text for verify);
+``--format`` accepts only the formats a command writes, e.g. ``plain`` for
+bare text.  The RAMA_PRECISION environment variable overrides the default
+working precision of 50 digits.  Exit status: 0 on
 success, 1 on failed checks or domain errors, 2 on usage errors.
 """
 
@@ -234,19 +235,17 @@ def cmd_szego(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+_SUITES = {
+    "identities": checks.run_identity_suite,
+    "conjecture": checks.check_conjecture_range,
+    "convergence": lambda max_r: checks.check_convergence(),
+    "regions": lambda max_r: checks.check_regions(),
+    "all": checks.run_all,
+}
+
+
 def cmd_verify(args) -> int:
-    if args.suite == "identities":
-        results = checks.run_identity_suite(args.max_r)
-    elif args.suite == "conjecture":
-        results = checks.check_conjecture_range(
-            args.max_r if args.max_r is not None else 100)
-    elif args.suite == "convergence":
-        results = checks.check_convergence()
-    elif args.suite == "regions":
-        results = checks.check_regions()
-    else:
-        results = checks.run_all(
-            args.max_r if args.max_r is not None else 100)
+    results = _SUITES[args.suite](args.max_r)
     passed = sum(1 for r in results if r.ok)
     ok = passed == len(results)
     if args.format == "json":
@@ -265,6 +264,12 @@ def cmd_verify(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+# the output formats each command writes; the first is its default
+_FORMATS = {"coeff": ("json", "plain"), "eval": ("json", "plain"),
+            "oracle": ("json", "plain"), "classify": ("json", "plain"),
+            "szego": ("csv", "json"), "verify": ("plain", "json")}
+
+
 class _Parser(argparse.ArgumentParser):
     """Accepts negative rationals such as -27/100 or -1/2-1/3i as values."""
 
@@ -278,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--digits", type=int, default=_default_digits(),
                         help="working precision in decimal digits "
                              "(default 50; env RAMA_PRECISION)")
-    common.add_argument("--format", choices=("json", "plain", "csv"),
-                        default=None,
-                        help="output format (default json; szego defaults "
-                             "to csv, verify to plain)")
 
     p = _Parser(
         prog="ramasym",
@@ -344,22 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run the verification ledger")
-    pv.add_argument("suite", choices=("identities", "conjecture",
-                                      "convergence", "regions", "all"))
+    pv.add_argument("suite", choices=tuple(_SUITES))
     pv.add_argument("--max-r", type=int, default=None,
-                    help="index range override (conjecture default 100)")
+                    help="index range override (conjecture default "
+                         f"{checks._CONJECTURE_MAX_R})")
     pv.set_defaults(fn=cmd_verify)
+
+    for command, sp in sub.choices.items():
+        sp.add_argument("--format", choices=_FORMATS[command],
+                        default=_FORMATS[command][0],
+                        help=f"output format (default {_FORMATS[command][0]})")
     return p
-
-
-_FORMAT_DEFAULTS = {"szego": "csv", "verify": "plain"}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = _FORMAT_DEFAULTS.get(args.command, "json")
     mp.dps = max(args.digits + 10, 30)
     try:
         return args.fn(args)

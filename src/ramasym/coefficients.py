@@ -33,11 +33,6 @@ from .demoivre import CoeffSequence, demoivre, harmonic, inv_factorial
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly, \
     w_minus_1_pow
 
-_SEQ_H2 = harmonic(2)
-_SEQ_F2 = inv_factorial(2)
-_SEQ_H1 = harmonic(1)
-_SEQ_F1 = inv_factorial(1)
-
 _POLY_MODES = ("plain", "tilde")
 
 
@@ -53,29 +48,28 @@ def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
     return PolyV.monomial(deg - m, Fraction(1, factorial(deg - m)))
 
 
-def _inner_sum(m: int, seq: CoeffSequence,
-               weight: Callable[[int], Fraction]) -> Fraction:
-    """sum_k weight(k) A(m, k; seq)."""
+def _inner_sum(m: int, seq: CoeffSequence, weight: Callable[[int], object]):
+    """sum_k weight(k) A(m, k; seq), in the ring the weights live in."""
     total = Fraction(0)
     for k in range(m + 1):
         A = demoivre(m, k, seq)
         if A:
-            total += weight(k) * A
+            total = total + weight(k) * A
     return total
 
 
-def _weighted_sum(mode: str, deg: int, weight: Callable[[int], Fraction],
-                  at_zero: bool = False) -> PolyV:
-    """sum_m outer(m) sum_k weight(k) A(m, k), the sum every polynomial
-    family is built from, over 1/(j+2) (plain) or 1/(j+2)! (tilde).
+def _weighted_sum(mode: str, deg: int, weight: Callable[[int], object],
+                  at_zero: bool = False, shift: int = 2):
+    """sum_m outer(m) sum_k weight(k) A(m, k), the sum every family is
+    built from, over 1/(j+shift) (plain) or 1/(j+shift)! (tilde).
 
     Only the m = deg term survives at v = 0; ``at_zero`` keeps just that
-    one, a constant polynomial equal to the family's value at v = 0.
+    one, equal to the family's value at v = 0.
     """
     _check_mode(mode)
     if deg < 0:
         raise ValueError("index must be nonnegative")
-    seq = _SEQ_H2 if mode == "plain" else _SEQ_F2
+    seq = harmonic(shift) if mode == "plain" else inv_factorial(shift)
     total = PolyV()
     for m in range(deg if at_zero else 0, deg + 1):
         inner = _inner_sum(m, seq, weight)
@@ -258,20 +252,21 @@ def U_coeff(r: int, mode: str = "plain",
         raise ValueError("r must be nonnegative")
 
     if mode in ("plain", "tilde", "vzero_harmonic", "vzero_factorial"):
-        # one sum over m and k; the v = 0 modes keep only its m = r term
+        # the families' sum over 1/(j+1) or 1/(j+1)!, with the PolyW weight
+        # w^(1 or k) (w-1)^(r-k) c_k; the v = 0 modes keep its m = r term
         form = "plain" if mode in ("plain", "vzero_harmonic") else "tilde"
-        seq = _SEQ_H1 if form == "plain" else _SEQ_F1
-        num = w_minus_1_pow(1) if r == 0 and form == "plain" else PolyW()
-        for m in range(r if mode.startswith("vzero") else 0, r + 1):
-            outer = _outer_weight(form, m, r)
-            for k in range(m + 1):
-                A = demoivre(m, k, seq)
-                if A:
-                    sign = 1 if form == "plain" else (-1) ** k
-                    c = Fraction(-sign * factorial(r + k), factorial(k)) * A
-                    num = num + PolyW.w_monomial(
-                        1 if form == "plain" else k, outer * c) \
-                        * w_minus_1_pow(r - k)
+
+        def weight(k):
+            if form == "plain":
+                c = Fraction(-factorial(r + k), factorial(k))
+                return PolyW.w_monomial(1, c) * w_minus_1_pow(r - k)
+            c = Fraction((-1) ** (k + 1) * factorial(r + k), factorial(k))
+            return PolyW.w_monomial(k, c) * w_minus_1_pow(r - k)
+
+        num = _weighted_sum(form, r, weight, at_zero=mode.startswith("vzero"),
+                            shift=1)
+        if r == 0 and form == "plain":
+            num = num + w_minus_1_pow(1)
         return RationalFnW(num, 2 * r + 1)
 
     if mode == "eulerian":
@@ -361,17 +356,9 @@ def alpha_s(data: SaddleData, s: int) -> SaddleCoefficient:
     ratio = CoeffSequence(lambda j: data.p(j) * inv_p0,
                           f"saddle:{data.tag}" if data.tag else None)
     expo = Fraction(-(s + Fraction(data.a)), data.mu)
-    total = None
+    total = Fraction(0)
     for m in range(s + 1):
-        inner = None
-        for j in range(m + 1):
-            A = demoivre(m, j, ratio)
-            if A:
-                t = binomial(expo, j) * A
-                inner = t if inner is None else inner + t
-        if inner is not None:
-            t2 = data.q(s - m) * inner
-            total = t2 if total is None else total + t2
-    if total is None:
-        total = Fraction(0)
+        inner = _inner_sum(m, ratio, lambda j: binomial(expo, j))
+        if inner:
+            total = total + data.q(s - m) * inner
     return SaddleCoefficient(p0, expo, Fraction(1, data.mu) * total)

@@ -143,27 +143,6 @@ def demoivre(n: int, k: int, seq: CoeffSequence):
     return _table(seq).value(n, k)
 
 
-def strip_first(n: int, k: int, seq: CoeffSequence):
-    """A(n, k) for the once-shifted sequence a_2, a_3, ... via a binomial sum.
-
-    Uses the alternating identity
-        A(n, k; a_2, a_3, ...) =
-            sum_j (-a_1)^(k-j) C(k, j) A(n+j, j; a_1, a_2, ...)
-    rather than building a second table, so both routes can be compared.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    from math import comb
-    a1 = seq(1)
-    total = None
-    for j in range(k + 1):
-        A = demoivre(n + j, j, seq)
-        if A:
-            t = comb(k, j) * (-a1) ** (k - j) * A
-            total = t if total is None else total + t
-    return total if total is not None else _ZERO
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)

@@ -1,8 +1,12 @@
-"""Exact rational scalars and verified arbitrary-precision floats.
+"""Exact rational scalars, the shared ring operators, and verified
+arbitrary-precision floats.
 
 Every exact quantity in this package is built on :class:`fractions.Fraction`
 (re-exported here as ``Rational``) or on :class:`GaussianRational`, a complex
-number with rational real and imaginary parts.  Approximate quantities go
+number with rational real and imaginary parts.  :class:`RingOps` writes the
+operators every exact ring type derives from its own coercion, sum,
+negation and product once: the reflected sum and product, subtraction, and
+integer powers by squaring.  Approximate quantities go
 through mpmath, but only via :func:`verified_eval`, which evaluates each
 requested expression at two working precisions (p and p + 64 bits) and only
 releases a result once the two runs agree to the caller's tolerance.
@@ -13,14 +17,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 import mpmath
 from mpmath import mp
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction]
 
 
 class PrecisionError(ArithmeticError):
@@ -51,11 +53,61 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the shared ring operators
+# ---------------------------------------------------------------------------
+
+class RingOps:
+    """Operators derived from a type's ``_coerce``, ``__add__``, ``__neg__``
+    and ``__mul__`` (commutative), and from ``inverse`` for negative powers.
+
+    ``_coerce`` maps an accepted operand into the type and returns
+    ``NotImplemented`` for anything else.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o + (-self)
+
+    def __pow__(self, n: int):
+        """Square and multiply (Knuth, TAOCP vol. 2, 4.6.3)."""
+        if not isinstance(n, int):
+            raise TypeError("only integer powers are exact")
+        if n < 0 and not hasattr(self, "inverse"):
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        base = self if n >= 0 else self.inverse()
+        result = self._coerce(1)
+        n = abs(n)
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+
+# ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(RingOps):
     """Exact complex number a + bi with rational a, b."""
 
     re: Fraction = Fraction(0)
@@ -75,22 +127,8 @@ class GaussianRational:
             return o
         return GaussianRational(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -100,8 +138,6 @@ class GaussianRational:
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
-
-    __rmul__ = __mul__
 
     def norm2(self) -> Fraction:
         """Squared modulus, an exact rational."""
@@ -127,20 +163,6 @@ class GaussianRational:
         if o is NotImplemented:
             return o
         return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("only integer powers are exact")
-        base = self if n >= 0 else self.inverse()
-        result = GaussianRational(Fraction(1), Fraction(0))
-        n = abs(n)
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -2,23 +2,30 @@
 
 ``PolyV`` is a dense univariate polynomial over the rationals in the offset
 variable v.  ``PolyW`` stacks PolyV coefficients into a polynomial in a
-second variable w, and ``RationalFnW`` is the fraction N(w, v)/(w-1)^e kept
+second variable w; both are one dense class, ``_Dense``, over different
+coefficient rings.  ``RationalFnW`` is the fraction N(w, v)/(w-1)^e kept
 in lowest terms with respect to the (w-1) factor.  ``Sqrt2Scaled`` tracks an
 exact multiple of an integer power of sqrt(2) so that intermediate
-half-integer-power quantities never leave exact arithmetic.
+half-integer-power quantities never leave exact arithmetic.  Evaluation is
+exact: the arguments are rationals, Gaussian rationals or ring elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, factorial
 
-from mpmath import mp
+from .numcore import RingOps, format_rational
 
-from .numcore import format_rational, to_mp
 
-_EXACT_SCALARS = (int, Fraction)
+def _join_terms(parts) -> str:
+    """Join rendered terms with " + ", turning a leading '-' into " - "."""
+    out = parts[0]
+    for t in parts[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
 
 
 def _poly_terms_str(coeffs, var: str) -> str:
@@ -38,104 +45,72 @@ def _poly_terms_str(coeffs, var: str) -> str:
             else:
                 term = f"{format_rational(c)}*{vp}"
         parts.append(term)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for t in parts[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return _join_terms(parts) if parts else "0"
 
 
-class PolyV:
-    """Polynomial in v with exact rational coefficients, lowest degree first."""
+def _divide_w_minus_1(cs):
+    """Synthetic division of a nonempty ascending coefficient list by
+    (w - 1): returns (quotient list, remainder)."""
+    q = list(cs[1:])
+    for i in range(len(q) - 2, -1, -1):
+        q[i] = q[i] + q[i + 1]
+    return q, (cs[0] + q[0] if q else cs[0])
+
+
+class _Dense(RingOps):
+    """Dense polynomial, lowest degree first, trailing zeros trimmed.
+
+    A subclass sets the coefficient lift ``_lift``, its zero ``_zero`` and
+    the scalar types ``_scalars`` it accepts as constant polynomials.
+    """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(x) for x in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [self._lift(x) for x in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.c = tuple(cs)
-
-    @classmethod
-    def const(cls, x) -> "PolyV":
-        return cls([Fraction(x)])
-
-    @classmethod
-    def variable(cls) -> "PolyV":
-        return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, k: int, coeff=1) -> "PolyV":
-        return cls([0] * k + [Fraction(coeff)])
 
     @property
     def degree(self):
         """Degree as an int; -inf for the zero polynomial."""
         return len(self.c) - 1 if self.c else float("-inf")
 
-    def coeff(self, i: int) -> Fraction:
-        return self.c[i] if 0 <= i < len(self.c) else Fraction(0)
+    def coeff(self, i: int):
+        return self.c[i] if 0 <= i < len(self.c) else self._zero
 
-    def coeff_strings(self):
-        """Coefficient list as "p/q" strings (constant term first)."""
-        return [format_rational(x) for x in self.c]
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, PolyV):
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, cls):
             return x
-        if isinstance(x, _EXACT_SCALARS):
-            return PolyV([Fraction(x)])
+        if isinstance(x, cls._scalars):
+            return cls([x])
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = max(len(self.c), len(o.c))
-        return PolyV([self.coeff(i) + o.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
+        return type(self)([a + b for a, b in
+                           zip_longest(self.c, o.c, fillvalue=self._zero)])
 
     def __neg__(self):
-        return PolyV([-x for x in self.c])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o + (-self)
+        return type(self)([-x for x in self.c])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         if not self.c or not o.c:
-            return PolyV()
-        out = [Fraction(0)] * (len(self.c) + len(o.c) - 1)
+            return type(self)()
+        out = [self._zero] * (len(self.c) + len(o.c) - 1)
         for i, a in enumerate(self.c):
             if a:
                 for j, b in enumerate(o.c):
                     if b:
-                        out[i + j] += a * b
-        return PolyV(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = PolyV([1])
-        for _ in range(n):
-            result = result * self
-        return result
+                        out[i + j] = out[i + j] + a * b
+        return type(self)(out)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -146,14 +121,33 @@ class PolyV:
     def __bool__(self):
         return bool(self.c)
 
+
+class PolyV(_Dense):
+    """Polynomial in v with exact rational coefficients, lowest degree first."""
+
+    __slots__ = ()
+    _lift = Fraction
+    _zero = Fraction(0)
+    _scalars = (int, Fraction)
+
+    @classmethod
+    def const(cls, x) -> "PolyV":
+        return cls([x])
+
+    @classmethod
+    def variable(cls) -> "PolyV":
+        return cls([0, 1])
+
+    @classmethod
+    def monomial(cls, k: int, coeff=1) -> "PolyV":
+        return cls([0] * k + [coeff])
+
+    def coeff_strings(self):
+        """Coefficient list as "p/q" strings (constant term first)."""
+        return [format_rational(x) for x in self.c]
+
     def __call__(self, x):
-        """Horner evaluation; x may be exact, mpmath, or another ring element."""
-        if isinstance(x, (mp.mpf, mp.mpc, float, complex)):
-            z = to_mp(x)
-            acc = mp.mpf(0)
-            for co in reversed(self.c):
-                acc = acc * z + to_mp(co)
-            return acc
+        """Horner evaluation at an exact x, or at another ring element."""
         acc = Fraction(0)
         for co in reversed(self.c):
             acc = acc * x + co
@@ -177,114 +171,26 @@ def binomial_poly(m: int) -> PolyV:
     return p * Fraction(1, factorial(m))
 
 
-class PolyW:
+class PolyW(_Dense):
     """Polynomial in w whose coefficients are PolyV elements."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=()):
-        cs = [x if isinstance(x, PolyV) else PolyV.const(x) for x in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.c = tuple(cs)
+    __slots__ = ()
+    _lift = staticmethod(lambda x: x if isinstance(x, PolyV) else PolyV([x]))
+    _zero = PolyV()
+    _scalars = (PolyV, int, Fraction)
 
     @classmethod
     def w_monomial(cls, k: int, coeff=1) -> "PolyW":
-        co = coeff if isinstance(coeff, PolyV) else PolyV.const(coeff)
-        return cls([PolyV()] * k + [co])
-
-    @property
-    def degree(self):
-        return len(self.c) - 1 if self.c else float("-inf")
-
-    def coeff(self, i: int) -> PolyV:
-        return self.c[i] if 0 <= i < len(self.c) else PolyV()
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, PolyW):
-            return x
-        if isinstance(x, (PolyV, *_EXACT_SCALARS)):
-            return PolyW([x])
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = max(len(self.c), len(o.c))
-        return PolyW([self.coeff(i) + o.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyW([-x for x in self.c])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not self.c or not o.c:
-            return PolyW()
-        out = [PolyV() for _ in range(len(self.c) + len(o.c) - 1)]
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(o.c):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return PolyW(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = PolyW([PolyV([1])])
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.c == o.c
-
-    def __bool__(self):
-        return bool(self.c)
+        return cls([0] * k + [coeff])
 
     def divmod_w_minus_1(self):
         """Synthetic division by (w - 1): returns (quotient, remainder PolyV)."""
         if not self.c:
             return PolyW(), PolyV()
-        q = [PolyV()] * (len(self.c) - 1)
-        carry = PolyV()
-        for i in range(len(self.c) - 1, 0, -1):
-            carry = self.c[i] + carry
-            q[i - 1] = carry
-        rem = self.c[0] + carry
+        q, rem = _divide_w_minus_1(self.c)
         return PolyW(q), rem
 
     def __call__(self, w, v):
-        if isinstance(w, (mp.mpf, mp.mpc, float, complex)) or \
-           isinstance(v, (mp.mpf, mp.mpc, float, complex)):
-            zw = to_mp(w)
-            acc = mp.mpf(0)
-            for co in reversed(self.c):
-                acc = acc * zw + co(v)
-            return acc
         acc = Fraction(0)
         for co in reversed(self.c):
             acc = acc * w + co(v)
@@ -301,17 +207,17 @@ class PolyW:
         )
 
 
-_W_MINUS_1 = PolyW([PolyV.const(-1), PolyV.const(1)])
+_W_MINUS_1 = PolyW([-1, 1])
 
 
 @lru_cache(maxsize=None)
 def w_minus_1_pow(e: int) -> PolyW:
     if e == 0:
-        return PolyW([PolyV([1])])
+        return PolyW([1])
     return w_minus_1_pow(e - 1) * _W_MINUS_1
 
 
-class RationalFnW:
+class RationalFnW(RingOps):
     """Fraction N(w, v) / (w - 1)^e with the (w-1) content fully cancelled."""
 
     __slots__ = ("num", "e")
@@ -336,7 +242,7 @@ class RationalFnW:
     def _coerce(x):
         if isinstance(x, RationalFnW):
             return x
-        if isinstance(x, (PolyW, PolyV, *_EXACT_SCALARS)):
+        if isinstance(x, (PolyW, *PolyW._scalars)):
             return RationalFnW(x, 0)
         return NotImplemented
 
@@ -349,30 +255,14 @@ class RationalFnW:
              + o.num * w_minus_1_pow(e - o.e))
         return RationalFnW(n, e)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFnW(-self.num, self.e)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         return RationalFnW(self.num * o.num, self.e + o.e)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "RationalFnW":
         """Invert when the numerator is c*(w-1)^d; raises otherwise."""
@@ -387,17 +277,10 @@ class RationalFnW:
         c = n.coeff(0).coeff(0)
         if c == 0:
             raise ZeroDivisionError("inverse of zero")
-        inv_c = PolyW([PolyV.const(Fraction(1) / c)])
+        inv_c = PolyW([1 / c])
         if self.e >= d:
             return RationalFnW(inv_c * w_minus_1_pow(self.e - d), 0)
         return RationalFnW(inv_c, d - self.e)
-
-    def __pow__(self, n: int):
-        base = self if n >= 0 else self.inverse()
-        result = RationalFnW(1, 0)
-        for _ in range(abs(n)):
-            result = result * base
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -410,13 +293,9 @@ class RationalFnW:
 
     def __call__(self, w, v=Fraction(0)):
         """Evaluate at w (not 1 when e > 0) and v; exact in, exact out."""
-        numeric = isinstance(w, (mp.mpf, mp.mpc, float, complex)) or \
-            isinstance(v, (mp.mpf, mp.mpc, float, complex))
         top = self.num(w, v)
         if self.e == 0:
             return top
-        if numeric:
-            return top / (to_mp(w) - 1) ** self.e
         den = (w - 1) ** self.e
         if not den:
             raise ZeroDivisionError("pole at w = 1")
@@ -458,13 +337,7 @@ class RationalFnW:
                 continue
             e = self.e
             while e > 0 and sum(cw) == 0:
-                # divide by (w - 1)
-                q = [Fraction(0)] * (len(cw) - 1)
-                carry = Fraction(0)
-                for d in range(len(cw) - 1, 0, -1):
-                    carry = cw[d] + carry
-                    q[d - 1] = carry
-                cw, e = q, e - 1
+                cw, e = _divide_w_minus_1(cw)[0], e - 1
             if e % 2:
                 cw = [-x for x in cw]
             while cw and cw[-1] == 0:
@@ -485,10 +358,7 @@ class RationalFnW:
                 vp = "v" if i == 1 else f"v^{i}"
                 body = f"{vp}*{body}"
             chunks.append("-" + body if neg else body)
-        out = chunks[0]
-        for t in chunks[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return _join_terms(chunks)
 
     def __repr__(self):
         return f"RationalFnW({self})"
@@ -509,30 +379,6 @@ class Sqrt2Scaled:
                                self.half_pow + other.half_pow)
         return Sqrt2Scaled(self.poly * other, self.half_pow)
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Sqrt2Scaled(-self.poly, self.half_pow)
-
-    def __add__(self, other):
-        if not isinstance(other, Sqrt2Scaled):
-            other = Sqrt2Scaled(other, 0)
-        if not other.poly:
-            return self
-        if not self.poly:
-            return other
-        if (self.half_pow - other.half_pow) % 2:
-            raise ValueError("cannot add incompatible sqrt(2) powers exactly")
-        lo = min(self.half_pow, other.half_pow)
-        a = self.poly * Fraction(2) ** ((self.half_pow - lo) // 2)
-        b = other.poly * Fraction(2) ** ((other.half_pow - lo) // 2)
-        return Sqrt2Scaled(a + b, lo)
-
-    def __sub__(self, other):
-        if not isinstance(other, Sqrt2Scaled):
-            other = Sqrt2Scaled(other, 0)
-        return self + (-other)
-
     def __eq__(self, other):
         if not isinstance(other, Sqrt2Scaled):
             other = Sqrt2Scaled(other, 0)
@@ -543,9 +389,6 @@ class Sqrt2Scaled:
         if self.half_pow >= other.half_pow:
             return self.poly * Fraction(2) ** ((self.half_pow - other.half_pow) // 2) == other.poly
         return self.poly == other.poly * Fraction(2) ** ((other.half_pow - self.half_pow) // 2)
-
-    def __bool__(self):
-        return bool(self.poly)
 
     def to_polyv(self) -> PolyV:
         """Collapse to a plain polynomial; requires an even sqrt(2) power."""

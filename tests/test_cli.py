@@ -229,6 +229,34 @@ class TestVerifyCommand:
         assert lines[-1].endswith("pass")
 
 
+class TestFormats:
+    """--format takes only the formats the command writes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "theta", "--n", "10", "--format", "csv"],
+        ["classify", "--w", "2", "--format", "csv"],
+        ["coeff", "rho", "--format", "csv"],
+        ["oracle", "theta", "--n", "10", "--format", "csv"],
+        ["verify", "regions", "--format", "csv"],
+        ["szego", "--format", "plain"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritten_format_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command,default", [
+        (["coeff", "rho", "--r", "1", "--v", "0"], '"4/135"\n'),
+        (["classify", "--w", "2"], '"Z"\n'),
+        (["verify", "conjecture", "--max-r", "2"],
+         "PASS conjecture-psi-rho-sign-r2: 3/3 equal\n1/1 pass\n"),
+    ], ids=["coeff", "classify", "verify"])
+    def test_defaults(self, capsys, command, default):
+        code, out, _ = run(capsys, *command)
+        assert code == 0 and out == default
+
+
 class TestParsingAndEnvironment:
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

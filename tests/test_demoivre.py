@@ -13,8 +13,7 @@ from ramasym.coefficients import U_coeff, psi, psi_zero, rho, rho_zero
 from ramasym.combinat import enumerate_oracle, eulerian2, stirling
 from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
                               clear_caches, demoivre, harmonic,
-                              inv_factorial, special_closed_forms,
-                              strip_first, strip_r)
+                              inv_factorial, special_closed_forms, strip_r)
 
 fracs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
@@ -109,25 +108,13 @@ class TestAlgebraicProperties:
         assert lhs == rhs
 
     @given(st.lists(fracs, min_size=2, max_size=6),
-           st.integers(0, 6), st.integers(0, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_strip_first(self, terms, n, k):
-        # the alternating binomial sum equals A(n, k) of a_2, a_3, ...
-        full = sequence_from(terms, "bf")
-        slid = sequence_from(terms[1:], "slide1")
-        assert strip_first(n, k, full) == demoivre(n, k, slid)
-
-    @given(st.lists(fracs, min_size=3, max_size=6),
-           st.integers(0, 6), st.integers(0, 3), st.integers(1, 3))
+           st.integers(0, 6), st.integers(0, 4), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_strip_r(self, terms, n, k, r):
         # the multinomial sum equals A(n, k) of a_{r+1}, a_{r+2}, ...
         full = sequence_from(terms, "bf")
         slid = sequence_from(terms[r:], f"slide{r}")
         assert strip_r(n, k, r, full) == demoivre(n, k, slid)
-
-    def test_strip_one_matches_strip_first(self):
-        assert strip_r(5, 2, 1, harmonic()) == strip_first(5, 2, harmonic())
 
     def test_strip_r_rejects_zero(self):
         with pytest.raises(ValueError):

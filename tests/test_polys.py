@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramasym.coefficients import U_coeff
 from ramasym.numcore import GaussianRational
 from ramasym.polys import (PolyV, PolyW, RationalFnW, Sqrt2Scaled,
                            binomial_poly, w_minus_1_pow)
@@ -15,6 +16,20 @@ fracs = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=24)
 polyvs = st.lists(fracs, max_size=5).map(PolyV)
 polyws = st.lists(polyvs, max_size=4).map(PolyW)
+small_polyws = st.lists(st.lists(st.integers(-3, 3), max_size=2).map(PolyV),
+                        max_size=3).map(PolyW)
+rational_fns = st.builds(RationalFnW, small_polyws, st.integers(0, 3))
+gaussians = st.builds(GaussianRational, fracs, fracs)
+scalars = st.integers(-50, 50) | fracs
+
+
+def repeated_product(x, n: int, one):
+    """x**n by |n| multiplications, through x.inverse() when n < 0."""
+    base = x if n >= 0 else x.inverse()
+    out = one
+    for _ in range(abs(n)):
+        out = out * base
+    return out
 
 
 class TestPolyV:
@@ -34,9 +49,15 @@ class TestPolyV:
         assert (p * q)(x) == p(x) * q(x)
         assert (p - q)(x) == p(x) - q(x)
 
-    @given(polyvs, st.integers(0, 3), fracs)
+    @given(polyvs, st.integers(0, 12), fracs)
+    @settings(deadline=None)
     def test_powers(self, p, n, x):
+        assert p ** n == repeated_product(p, n, PolyV([1]))
         assert (p ** n)(x) == p(x) ** n
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError):
+            PolyV([1, 1]) ** -1
 
     def test_horner_is_exact(self):
         p = PolyV([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)])
@@ -73,6 +94,11 @@ class TestPolyW:
     def test_ring_ops_at_points(self, p, q, w, v):
         assert (p + q)(w, v) == p(w, v) + q(w, v)
         assert (p * q)(w, v) == p(w, v) * q(w, v)
+
+    @given(small_polyws, st.integers(0, 8))
+    @settings(deadline=None)
+    def test_powers(self, p, n):
+        assert p ** n == repeated_product(p, n, PolyW([1]))
 
     @given(polyws)
     def test_divmod_w_minus_1_reconstructs(self, p):
@@ -141,6 +167,20 @@ class TestRationalFnW:
         w, v = Fraction(1, 3), Fraction(2)
         assert f(w, v) * g(w, v) == 1
 
+    @given(st.integers(0, 3), st.integers(0, 4), fracs.filter(bool),
+           st.integers(-6, 8))
+    @settings(deadline=None)
+    def test_powers(self, d, e, c, n):
+        # c (w-1)^d / (w-1)^e is invertible, so negative powers exist
+        f = RationalFnW(w_minus_1_pow(d) * c, e)
+        assert f ** n == repeated_product(f, n, RationalFnW(1))
+
+    @given(small_polyws, st.integers(0, 3), st.integers(0, 8))
+    @settings(deadline=None)
+    def test_powers_of_general_numerators(self, num, e, n):
+        f = RationalFnW(num, e)
+        assert f ** n == repeated_product(f, n, RationalFnW(1))
+
     def test_inverse_of_general_numerator_unsupported(self):
         with pytest.raises((NotImplementedError, ValueError)):
             RationalFnW(PolyW([2, 3]), 1).inverse()
@@ -182,6 +222,52 @@ class TestRationalFnWStrings:
     def test_zero(self):
         assert str(RationalFnW(PolyW(), 0)) == "0"
 
+    # the first U coefficients exercise the per-v-chunk (1-w) cancellation
+    U_STRINGS = {
+        "plain": [
+            "1/(1-w)",
+            "-w/(1-w)^3 - v*w/(1-w)^2",
+            "(w + 2*w^2)/(1-w)^5 + v*(2*w + w^2)/(1-w)^4 + v^2*w/(1-w)^3",
+            "-(w + 8*w^2 + 6*w^3)/(1-w)^7 - v*(3*w + 10*w^2 + 2*w^3)/(1-w)^6"
+            " - v^2*(3*w + 3*w^2)/(1-w)^5 - v^3*w/(1-w)^4",
+            "(w + 22*w^2 + 58*w^3 + 24*w^4)/(1-w)^9"
+            " + v*(4*w + 43*w^2 + 52*w^3 + 6*w^4)/(1-w)^8"
+            " + v^2*(6*w + 28*w^2 + 11*w^3)/(1-w)^7"
+            " + v^3*(4*w + 6*w^2)/(1-w)^6 + v^4*w/(1-w)^5",
+        ],
+        "tilde": [
+            "1/(1-w)",
+            "-w/(1-w)^3 - v*1/(1-w)^2",
+            "(w + 2*w^2)/(1-w)^5 + v*3*w/(1-w)^4 + v^2*1/(1-w)^3",
+            "-(w + 8*w^2 + 6*w^3)/(1-w)^7 - v*(4*w + 11*w^2)/(1-w)^6"
+            " - v^2*6*w/(1-w)^5 - v^3*1/(1-w)^4",
+            "(w + 22*w^2 + 58*w^3 + 24*w^4)/(1-w)^9"
+            " + v*(5*w + 50*w^2 + 50*w^3)/(1-w)^8"
+            " + v^2*(10*w + 35*w^2)/(1-w)^7 + v^3*10*w/(1-w)^6"
+            " + v^4*1/(1-w)^5",
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["plain", "tilde"])
+    def test_u_coefficients(self, mode):
+        assert [str(U_coeff(r, mode)) for r in range(5)] \
+            == self.U_STRINGS[mode]
+
+
+class TestSharedOperators:
+    """Subtraction comes from numcore.RingOps for all four ring types."""
+
+    @pytest.mark.parametrize(
+        "elements", [gaussians, polyvs, small_polyws, rational_fns],
+        ids=["GaussianRational", "PolyV", "PolyW", "RationalFnW"])
+    @given(data=st.data())
+    def test_subtraction(self, elements, data):
+        a, b = data.draw(elements), data.draw(elements)
+        x = data.draw(scalars)
+        assert a - b == a + (-b)
+        assert x - a == -(a - x)
+        assert a - x == a + (-x)
+
 
 class TestSqrt2Scaled:
     def test_even_power_folds_to_polyv(self):
@@ -191,15 +277,6 @@ class TestSqrt2Scaled:
     def test_odd_power_does_not_fold(self):
         with pytest.raises(ValueError):
             Sqrt2Scaled(PolyV([1]), 1).to_polyv()
-
-    def test_addition_requires_matching_parity(self):
-        a = Sqrt2Scaled(PolyV([1]), 1)
-        b = Sqrt2Scaled(PolyV([1]), 3)
-        c = Sqrt2Scaled(PolyV([1]), 2)
-        summed = a + b                 # sqrt2 + 2*sqrt2 = 3*sqrt2
-        assert summed == Sqrt2Scaled(PolyV([3]), 1)
-        with pytest.raises(ValueError):
-            a + c
 
     def test_multiplication_adds_exponents(self):
         a = Sqrt2Scaled(PolyV([1]), 1)
