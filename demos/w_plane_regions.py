@@ -51,7 +51,7 @@ def main():
         writer = csv.writer(fh)
         writer.writerow(["t", "re", "im", "residual"])
         for p in points:
-            writer.writerow([mp.nstr(to_mp(p.t), 20), mp.nstr(p.w.real, 20),
+            writer.writerow([mp.nstr(p.t, 20), mp.nstr(p.w.real, 20),
                              mp.nstr(p.w.imag, 20), mp.nstr(p.residual, 3)])
     print(f"  wrote {out_path}")
 
@@ -66,7 +66,7 @@ def main():
         val = phi(w, tol=Fraction(1, 10 ** 25))
         with mp.workprec(200):
             resid = abs(to_mp(w) * mp.exp(1 - to_mp(w)) - mp.exp(-1j * val))
-        print(f"  t={mp.nstr(to_mp(p.t), 6):>10}  phi={mp.nstr(val, 10):>14}"
+        print(f"  t={mp.nstr(p.t, 6):>10}  phi={mp.nstr(val, 10):>14}"
               f"  reconstruction residual {mp.nstr(resid, 3)}")
 
 

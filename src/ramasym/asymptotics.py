@@ -10,7 +10,8 @@ sums S_n(w;v) / T_n(w;v), and the exponential-integral companion Psi_n(v).
 All evaluators take an explicit truncation order R; the series are
 asymptotic, not convergent, so choosing R is the caller's concern.  Every
 numeric result passes the two-precision agreement contract of
-:mod:`ramasym.numcore`.
+:mod:`ramasym.numcore` and comes back at the precision it was verified at;
+no result or decision here depends on the ambient mpmath precision.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class RegionLabel:
         return self.kind
 
 
+def _workprec(digits: int):
+    """The context for decisions on values verified to ``digits``."""
+    return mp.workprec(int(digits * _LOG2_10) + 20)
+
+
 def _margin_raw(wm):
     return abs(wm * mp.exp(1 - wm)) - 1
 
@@ -57,12 +63,11 @@ def classify(w, epsilon=Fraction(1, 10 ** 20), digits: int = 50) -> RegionLabel:
     labels One and Zero; points whose modulus margin is within epsilon of
     zero get a boundary label split by the sign of Re(w) - 1.
     """
-    eps = to_mp(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    margin = verified_eval(lambda: _margin_raw(to_mp(w)), digits)
-    prec = int(digits * _LOG2_10) + 20
-    with mp.workprec(prec):
+    with _workprec(digits):
+        eps = to_mp(epsilon)
+        if eps <= 0:
+            raise ValueError("epsilon must be positive")
+        margin = verified_eval(lambda: _margin_raw(to_mp(w)), digits)
         wm = to_mp(w)
         if abs(wm - 1) < eps:
             return RegionLabel("One", margin)
@@ -92,7 +97,9 @@ def phi(w, digits: int = 50, tol=Fraction(1, 10 ** 20)):
     exceeds tol are rejected.
     """
     margin = verified_eval(lambda: _margin_raw(to_mp(w)), digits)
-    if abs(margin) > to_mp(tol):
+    with _workprec(digits):
+        off = abs(margin) > to_mp(tol)
+    if off:
         raise ValueError(
             f"w is off the unit-modulus curve by {mp.nstr(margin, 8)}")
     return verified_eval(lambda: _phi_raw(to_mp(w)), digits)
@@ -131,7 +138,8 @@ def szego_curve(t_min, t_max, step, digits: int = 50) -> list:
 
     Valid for t >= -W(1/e); the arc with Re(w) < 1 bounds the S regions and
     the continuation with Re(w) > 1 bounds the T side.  Each returned point
-    carries the verified residual | |w e^(1-w)| - 1 |.
+    carries t = Re(w) at the precision w was verified at, and the verified
+    residual | |w e^(1-w)| - 1 |.
     """
     t_min, t_max, step = Fraction(t_min), Fraction(t_max), Fraction(step)
     if step <= 0:
@@ -139,14 +147,14 @@ def szego_curve(t_min, t_max, step, digits: int = 50) -> list:
     if t_max < t_min:
         raise ValueError("t_max must be at least t_min")
     floor_t = -lambert_w_recip_e(digits + 10)
+    with _workprec(digits):
+        below = to_mp(t_min) < floor_t - mp.mpf(10) ** -digits
+    if below:
+        raise ValueError(
+            f"t = {t_min} is below the curve domain t >= {mp.nstr(floor_t, 10)}")
     points = []
     t = t_min
     while t <= t_max:
-        tm = to_mp(t)
-        if tm < floor_t and abs(tm - floor_t) > mp.mpf(10) ** (-digits):
-            raise ValueError(
-                f"t = {t} is below the curve domain t >= {mp.nstr(floor_t, 10)}")
-
         def compute(tt=t):
             tmm = to_mp(tt)
             rad = mp.exp(2 * tmm - 2) - tmm * tmm
@@ -156,7 +164,7 @@ def szego_curve(t_min, t_max, step, digits: int = 50) -> list:
 
         w = verified_eval(compute, digits)
         residual = verified_eval(lambda ww=w: abs(_margin_raw(ww)), digits)
-        points.append(CurvePoint(to_mp(t), w, residual))
+        points.append(CurvePoint(w.real, w, residual))
         t += step
     return points
 
@@ -165,9 +173,10 @@ def szego_curve(t_min, t_max, step, digits: int = 50) -> list:
 class ExpansionResult:
     """A truncated expansion value with its per-term breakdown.
 
-    value is the sum of per_term; terms_used is the truncation order R
-    (terms r = 0..R-1); regime records which expansion branch fired;
-    error_order describes the dropped remainder.
+    value is the verified sum of per_term, at its verified precision;
+    terms_used is the truncation order R (terms r = 0..R-1); regime records
+    which expansion branch fired; error_order describes the dropped
+    remainder.
     """
 
     value: object
@@ -177,17 +186,18 @@ class ExpansionResult:
     error_order: str
 
 
-def _verified_terms(build: Callable[[], Sequence], digits: int) -> list:
-    """verified_eval on the sum of the built terms; returns the terms of
-    the last build, the higher-precision one."""
+def _expansion(build: Callable[[], Sequence], R: int, digits: int,
+               regime: RegionLabel, order: str) -> ExpansionResult:
+    """The verified sum of the built terms, with the terms of the build it
+    came from (the higher-precision one)."""
     terms = []
 
     def compute():
         terms[:] = build()
         return mp.fsum(terms)
 
-    verified_eval(compute, digits)
-    return terms
+    value = verified_eval(compute, digits)
+    return ExpansionResult(value, R, tuple(terms), regime, order)
 
 
 def _check_order(n, R: int) -> None:
@@ -204,22 +214,23 @@ def _plain_order(R: int) -> str:
     return f"O(n^(-{R}))"
 
 
-def _half_order(R: int) -> str:
-    return f"O(n^({Fraction(1, 2) - R}))"
+def _power_expansion(family, n, v, R: int, digits: int, order: str,
+                     prefactor=lambda nm: 1) -> ExpansionResult:
+    """prefactor(n) * family(r)(v) / n^r summed over r < R."""
+    _check_order(n, R)
+    coeffs = [family(r)(v) for r in range(R)]
+
+    def build():
+        nm = to_mp(n)
+        pref = prefactor(nm)
+        return [pref * to_mp(c) / nm ** r for r, c in enumerate(coeffs)]
+
+    return _expansion(build, R, digits, _ONE_LABEL, order)
 
 
 def theta_expansion(n, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
     """Truncated expansion of the correction term: sum of rho_r(v)/n^r."""
-    _check_order(n, R)
-    coeffs = [rho(r)(v) for r in range(R)]
-
-    def build():
-        nm = to_mp(n)
-        return [to_mp(c) / nm ** r for r, c in enumerate(coeffs)]
-
-    terms = _verified_terms(build, digits) if R else []
-    return ExpansionResult(mp.fsum(terms), R, tuple(terms), _ONE_LABEL,
-                           _plain_order(R))
+    return _power_expansion(rho, n, v, R, digits, _plain_order(R))
 
 
 def psi_expansion(n, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
@@ -227,22 +238,9 @@ def psi_expansion(n, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
 
     v must be an integer; the expansion is stated only there.
     """
-    _check_order(n, R)
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            raise ValueError("v must be an integer")
-        v = int(v)
-    if not isinstance(v, int):
+    if not (isinstance(v, (int, Fraction)) and v == int(v)):
         raise ValueError("v must be an integer")
-    coeffs = [psi(r)(v) for r in range(R)]
-
-    def build():
-        nm = to_mp(n)
-        return [to_mp(c) / nm ** r for r, c in enumerate(coeffs)]
-
-    terms = _verified_terms(build, digits) if R else []
-    return ExpansionResult(mp.fsum(terms), R, tuple(terms), _ONE_LABEL,
-                           _plain_order(R))
+    return _power_expansion(psi, n, int(v), R, digits, _plain_order(R))
 
 
 def gamma_expansion(n, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
@@ -252,26 +250,15 @@ def gamma_expansion(n, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
     prefactor at verified precision; the remainder is relative to that
     prefactor.
     """
-    _check_order(n, R)
-    coeffs = [gamma_coeff(r)(v) for r in range(R)]
-
-    def build():
-        nm = to_mp(n)
-        pref = mp.sqrt(2 * mp.pi * nm) * mp.power(nm, nm + to_mp(v)) \
-            / mp.exp(nm)
-        return [pref * to_mp(c) / nm ** r for r, c in enumerate(coeffs)]
-
-    terms = _verified_terms(build, digits) if R else []
-    return ExpansionResult(mp.fsum(terms), R, tuple(terms), _ONE_LABEL,
-                           f"prefactor * O(n^(-{R}))")
-
-
-def _scaled_order(R: int) -> str:
-    return f"O(sqrt(n) * |w*e^(1-w)|^(-n) * n^(-{R}))"
+    return _power_expansion(
+        gamma_coeff, n, v, R, digits, f"prefactor * O(n^(-{R}))",
+        lambda nm: mp.sqrt(2 * mp.pi * nm) * mp.power(nm, nm + to_mp(v))
+        / mp.exp(nm))
 
 
 def _tail_head_expansion(kind: str, n, w, v, R: int, digits: int,
                          epsilon) -> ExpansionResult:
+    _check_order(n, R)
     label = classify(w, epsilon, digits)
     k = label.kind
 
@@ -317,11 +304,10 @@ def _tail_head_expansion(kind: str, n, w, v, R: int, digits: int,
                     for r in range(R)]
         return [sign * to_mp(u_c[r]) * inv[r] for r in range(R)]
 
-    terms = _verified_terms(build, digits) if R else []
-    order = {"mixed": _half_order(R), "dominant": _scaled_order(R),
-             "oscillatory": _half_order(R),
-             "interior": _plain_order(R)}[branch]
-    return ExpansionResult(mp.fsum(terms), R, tuple(terms), label, order)
+    half = f"O(n^({Fraction(1, 2) - R}))"
+    order = {"mixed": half, "oscillatory": half, "interior": _plain_order(R),
+             "dominant": f"O(sqrt(n) * |w*e^(1-w)|^(-n) * n^(-{R}))"}[branch]
+    return _expansion(build, R, digits, label, order)
 
 
 def S_expansion(n, w, v=0, R: int = 3, digits: int = 50,
@@ -333,7 +319,6 @@ def S_expansion(n, w, v=0, R: int = 3, digits: int = 50,
     form on the T-side arc; the dominant sqrt(n)-scaled gamma form in Z;
     and the exact value 0 at w = 0.
     """
-    _check_order(n, R)
     return _tail_head_expansion("S", n, w, v, R, digits, epsilon)
 
 
@@ -345,5 +330,4 @@ def T_expansion(n, w, v=0, R: int = 3, digits: int = 50,
     boundary; the mixed form at w = 1; the oscillatory form on the S-side
     arc; the dominant form in Y.  w = 0 is undefined.
     """
-    _check_order(n, R)
     return _tail_head_expansion("T", n, w, v, R, digits, epsilon)

@@ -24,14 +24,12 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import checks
 from .asymptotics import (S_expansion, T_expansion, classify, gamma_expansion,
                           psi_expansion, szego_curve, theta_expansion)
 from .coefficients import (U_coeff, beta, gamma_coeff, psi, rho, tau)
 from .numcore import (GaussianRational, PrecisionError, format_bigfloat,
-                      format_rational, parse_gaussian, parse_rational, to_mp)
+                      format_rational, parse_gaussian, parse_rational)
 from .oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
                      oracle_psi, oracle_theta)
 from .polys import PolyV, RationalFnW, Sqrt2Scaled
@@ -214,7 +212,7 @@ def cmd_szego(args) -> int:
                          parse_rational(args.step), args.digits)
     digits = args.digits
     if args.format == "json":
-        payload = [{"t": format_bigfloat(to_mp(p.t), digits),
+        payload = [{"t": format_bigfloat(p.t, digits),
                     "re": format_bigfloat(p.w.real, digits),
                     "im": format_bigfloat(p.w.imag, digits),
                     "residual": format_bigfloat(p.residual, 3)}
@@ -223,7 +221,7 @@ def cmd_szego(args) -> int:
         return 0
     lines = ["t,re,im,residual"]
     for p in points:
-        lines.append(",".join((format_bigfloat(to_mp(p.t), digits),
+        lines.append(",".join((format_bigfloat(p.t, digits),
                                format_bigfloat(p.w.real, digits),
                                format_bigfloat(p.w.imag, digits),
                                format_bigfloat(p.residual, 3))))
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    mp.dps = max(args.digits + 10, 30)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, PrecisionError,

@@ -260,7 +260,8 @@ def _agree(a, b, digits: int) -> bool:
 
 def verified_eval(compute: Callable[[], object], digits: int,
                   cancel_digits: int = 0, max_rounds: int = 6):
-    """Evaluate ``compute`` until two precisions p and p + 64 bits agree.
+    """Evaluate ``compute`` until two precisions p and p + 64 bits agree,
+    and return the p + 64 bit value.
 
     ``compute`` must rebuild its value from exact inputs using the ambient
     mpmath context, so that rerunning it at a higher precision actually

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, lgamma, log, log10
+from math import factorial, lcm, lgamma, log, log10, pi
 from typing import Optional, Sequence
 
 from mpmath import mp
@@ -121,15 +121,16 @@ def oracle_S(n: int, w, v: int = 0, digits: int = 50):
 def oracle_theta(n: int, v: int = 0, digits: int = 50):
     """Correction term theta_n(v) = (e^n/2 - sum_{j<n+v} n^j/j!) (n+v)!/n^(n+v).
 
-    The partial sum is exact; the subtraction cancels roughly n*log10(e)
-    digits, which the working precision absorbs.
+    The partial sum is exact; the scale is about sqrt(2 pi n) e^(-n), so
+    the subtraction of two terms near e^n/2 cancels about
+    log10(sqrt(2 pi n)) digits relative to the result.
     """
     _check_nv(n, v)
     if n + v < 1:
         raise ValueError("n + v must be at least 1")
     partial = Fraction(_head_numerator(n, 1, n + v), factorial(n + v - 1))
     scale = Fraction(factorial(n + v), n ** (n + v))
-    cancel = int(n * _LOG10_E) + 10
+    cancel = int(log10(2 * pi * n) / 2) + 10
 
     def compute():
         return (mp.exp(n) / 2 - to_mp(partial)) * to_mp(scale)
@@ -223,11 +224,10 @@ def _expansion_error(target: str, n: int, v: int, w, R: int, digits: int):
         exact = oracle_T(n, w, v)
     else:
         raise ValueError(f"unknown probe target {target!r}")
-    with mp.workprec(int(digits * 3.33) + 64):
-        err = abs(approx - to_mp(exact))
-        if target == "gammaFactorial":
-            err = err / to_mp(exact)
-        return err
+    err = abs(approx - to_mp(exact))
+    if target == "gammaFactorial":
+        err = err / to_mp(exact)
+    return err
 
 
 def convergence_probe(target: str, R: int, n_list: Sequence[int],
@@ -236,17 +236,18 @@ def convergence_probe(target: str, R: int, n_list: Sequence[int],
 
     For each consecutive pair (n, 2n) in n_list, ratio = error(2n)/error(n);
     an order-R truncation has ratio near 2^(-R) (relative error for the
-    factorial target, absolute otherwise).
+    factorial target, absolute otherwise), all at a precision set by digits.
     """
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be strictly increasing")
     errors = {}
     rows = []
-    for n in n_list:
-        err = _expansion_error(target, n, v, w, R, digits)
-        errors[n] = err
-        ratio = None
-        if n % 2 == 0 and n // 2 in errors and errors[n // 2] != 0:
-            ratio = err / errors[n // 2]
-        rows.append(ProbeRow(n, err, ratio))
+    with mp.workprec(int(digits * 3.33) + 64):
+        for n in n_list:
+            err = _expansion_error(target, n, v, w, R, digits)
+            errors[n] = err
+            ratio = None
+            if n % 2 == 0 and n // 2 in errors and errors[n // 2] != 0:
+                ratio = err / errors[n // 2]
+            rows.append(ProbeRow(n, err, ratio))
     return rows

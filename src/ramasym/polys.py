@@ -121,6 +121,9 @@ class _Dense(RingOps):
     def __bool__(self):
         return bool(self.c)
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
 
 class PolyV(_Dense):
     """Polynomial in v with exact rational coefficients, lowest degree first."""
@@ -155,9 +158,6 @@ class PolyV(_Dense):
 
     def __str__(self):
         return _poly_terms_str(self.c, "v")
-
-    def __repr__(self):
-        return f"PolyV({self})"
 
 
 @lru_cache(maxsize=None)

@@ -143,14 +143,20 @@ class TestOracleTheta:
 
     def test_large_n_against_incomplete_gamma(self):
         # sum_{j<m} n^j/j! = e^n Q(m, n) with the regularized upper
-        # incomplete gamma function Q, so theta = e^n (1/2 - Q) m!/n^m
-        n = m = 5000
-        got = oracle_theta(n, 0, 30)
-        with mp.workprec(300):
-            q = mpmath.gammainc(m, n, mpmath.inf, regularized=True)
-            val = mp.exp(n) * (mp.mpf(1) / 2 - q) * mp.factorial(m) \
-                / mp.mpf(n) ** m
-            assert abs(got - val) < mp.mpf(10) ** -29
+        # incomplete gamma function Q, so theta = e^n (1/2 - Q) m!/n^m;
+        # the oracle budgets only log10(sqrt(2 pi n)) cancelled digits
+        for n in (50, 200, 500, 1000, 2000, 5000):
+            for v in (-3, 0, 3):
+                m = n + v
+                for digits in (30, 100, 200):
+                    got = oracle_theta(n, v, digits)
+                    with mp.workprec(int((digits + 20) * 3.33)):
+                        q = mpmath.gammainc(m, n, mpmath.inf,
+                                            regularized=True)
+                        val = mp.exp(n) * (mp.mpf(1) / 2 - q) \
+                            * mp.factorial(m) / mp.mpf(n) ** m
+                        assert abs(got - val) < mp.mpf(10) ** -digits, \
+                            (n, v, digits)
 
     def test_median_limit(self):
         # theta_n(0) tends to 1/3, and sits near it already at n = 200

@@ -112,6 +112,10 @@ class TestPolyW:
         x = Fraction(3, 7)
         assert rem(x) == p(Fraction(1), x)
 
+    def test_repr_shows_the_polynomial(self):
+        assert repr(PolyW([1, PolyV([0, 1])])) == "PolyW((1) + (v)*w^1)"
+        assert repr(PolyV([1, 2])) == "PolyV(1 + 2*v)"
+
     def test_int_coefficients_coerce(self):
         p = PolyW([1, -2])
         assert p(Fraction(3), Fraction(0)) == -5
