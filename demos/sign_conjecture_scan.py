@@ -12,7 +12,7 @@ from ramasym import check_conjecture, psi_zero, rho_zero
 
 
 def main():
-    max_r = 40
+    max_r = 100
     start = time.perf_counter()
     report = check_conjecture(max_r)
     elapsed = time.perf_counter() - start

@@ -19,8 +19,8 @@ from .numcore import (GaussianRational, PrecisionError, Rational,
                       format_bigfloat, format_rational, parse_gaussian,
                       parse_rational, to_mp, verified_eval)
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
-from .demoivre import (CoeffSequence, clear_caches, demoivre, harmonic,
-                       inv_factorial, special_closed_forms, strip_r)
+from .demoivre import (CoeffSequence, clear_caches, harmonic, inv_factorial,
+                       special_closed_forms, strip_r)
 from .combinat import (binomial, double_factorial, enumerate_oracle,
                        eulerian2, stirling, stirling_associated)
 from .coefficients import (ConjectureReport, ConjectureRow, SaddleCoefficient,
@@ -44,7 +44,7 @@ __all__ = [
     "S_expansion", "SaddleCoefficient", "SaddleData", "Sqrt2Scaled",
     "T_expansion", "U_coeff", "alpha_s", "beta", "binomial", "binomial_poly",
     "check_conjecture", "classify", "clear_caches", "convergence_probe",
-    "demoivre", "double_factorial", "enumerate_oracle", "eulerian2",
+    "double_factorial", "enumerate_oracle", "eulerian2",
     "format_bigfloat", "format_rational", "gamma_coeff", "gamma_expansion",
     "gamma_zero", "harmonic", "inv_factorial", "lambert_w_recip_e",
     "oracle_Ei", "oracle_S", "oracle_T", "oracle_factorial", "oracle_psi",

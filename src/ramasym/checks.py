@@ -23,9 +23,9 @@ from . import coefficients as cf
 from .asymptotics import classify, phi, szego_curve
 from .combinat import (binomial, double_factorial, enumerate_oracle,
                        eulerian2, stirling, stirling_associated)
-from .demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence, demoivre,
-                       harmonic, inv_factorial, special_closed_forms,
-                       strip_r)
+from .demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence, convolution,
+                       demoivre, harmonic, inv_factorial,
+                       special_closed_forms, strip_r)
 from .numcore import GaussianRational, to_mp
 from .oracle import convergence_probe
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
@@ -236,7 +236,8 @@ def check_identities(max_n: int = 12) -> list:
             for n in range(max_n + 1):
                 for k in range(n + 1):
                     yield special_closed_forms(n, k, mode), \
-                        demoivre(n, k, seq), f"{mode} n={n} k={k}"
+                        demoivre(n, k, convolution(seq)), \
+                        f"{mode} n={n} k={k}"
 
     out.append(_all_equal(
         "closed-forms-vs-convolution", closed_pairs(),
@@ -276,7 +277,7 @@ def check_identities(max_n: int = 12) -> list:
                 for n in range(max_n + 1):
                     for k in range(min(n, 6) + 1):
                         yield strip_r(n, k, r, base), \
-                            demoivre(n, k, shifted), \
+                            demoivre(n, k, convolution(shifted)), \
                             f"{name} r={r} n={n} k={k}"
 
     out.append(_all_equal(
@@ -294,7 +295,22 @@ def check_identities(max_n: int = 12) -> list:
 
     out.append(_all_equal(
         "associated-stirling-vs-enumeration", assoc_pairs(),
-        "De Moivre closed form matches exhaustive counts for n <= 10"))
+        "associated-Stirling recurrence matches exhaustive counts "
+        "for n <= 10"))
+
+    def recurrence_pairs():
+        for s in range(4):
+            for seq in (harmonic(s), inv_factorial(s)):
+                conv = convolution(seq)
+                for n in range(31):
+                    for k in range(n + 1):
+                        yield demoivre(n, k, seq), demoivre(n, k, conv), \
+                            f"{seq.tag} n={n} k={k}"
+
+    out.append(_all_equal(
+        "associated-recurrence-vs-convolution", recurrence_pairs(),
+        "integer-row triangles of 1/(j+s) and 1/(j+s)! equal the "
+        "convolution for s <= 3, n <= 30"))
 
     out.append(_all_equal(
         "eulerian2-recovered-harmonic",

@@ -48,13 +48,13 @@ def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
     return PolyV.monomial(deg - m, Fraction(1, factorial(deg - m)))
 
 
-def _inner_sum(m: int, seq: CoeffSequence, weight: Callable[[int], object]):
-    """sum_k weight(k) A(m, k; seq), in the ring the weights live in."""
+def _inner_sum(m: int, seq: CoeffSequence, weights: list):
+    """sum_k weights[k] A(m, k; seq), in the ring the weights live in."""
     total = Fraction(0)
     for k in range(m + 1):
         A = demoivre(m, k, seq)
         if A:
-            total = total + weight(k) * A
+            total = total + weights[k] * A
     return total
 
 
@@ -70,9 +70,10 @@ def _weighted_sum(mode: str, deg: int, weight: Callable[[int], object],
     if deg < 0:
         raise ValueError("index must be nonnegative")
     seq = harmonic(shift) if mode == "plain" else inv_factorial(shift)
+    weights = [weight(k) for k in range(deg + 1)]
     total = PolyV()
     for m in range(deg if at_zero else 0, deg + 1):
-        inner = _inner_sum(m, seq, weight)
+        inner = _inner_sum(m, seq, weights)
         if inner:
             total = total + _outer_weight(mode, m, deg) * inner
     return total
@@ -356,9 +357,10 @@ def alpha_s(data: SaddleData, s: int) -> SaddleCoefficient:
     ratio = CoeffSequence(lambda j: data.p(j) * inv_p0,
                           f"saddle:{data.tag}" if data.tag else None)
     expo = Fraction(-(s + Fraction(data.a)), data.mu)
+    weights = [binomial(expo, j) for j in range(s + 1)]
     total = Fraction(0)
     for m in range(s + 1):
-        inner = _inner_sum(m, ratio, lambda j: binomial(expo, j))
+        inner = _inner_sum(m, ratio, weights)
         if inner:
             total = total + data.q(s - m) * inner
     return SaddleCoefficient(p0, expo, Fraction(1, data.mu) * total)

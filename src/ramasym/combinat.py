@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, perm
 
 _KINDS = ("cycle", "subset")
 
@@ -35,11 +35,10 @@ def double_factorial(n: int) -> int:
     """n!! with the empty-product convention 0!! = (-1)!! = 1."""
     if n < -1:
         raise ValueError("double factorial needs n >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    if n % 2 == 0:
+        return factorial(n // 2) << (n // 2)  # (2h)!! = 2^h h!
+    h = (n - 1) // 2  # (2h+1)!! = (2h+1)! / (2^h h!)
+    return factorial(n) // (factorial(h) << h) if h > 0 else 1
 
 
 _STIRLING: dict[str, list[list[int]]] = {k: [[1]] for k in _KINDS}
@@ -99,17 +98,50 @@ def eulerian2(n: int, k: int) -> int:
     return rows[n][k]
 
 
+# (kind, s) -> [m, row]: the newest row T_s(m, 0..m) of each library
+# triangle, where T_s(m, k) counts the objects of size n = m + s k.
+_ASSOCIATED: dict[tuple[str, int], list] = {}
+
+
+def associated_row(kind: str, s: int, m: int) -> list[int]:
+    """Row m of T_s(m, k) = d_(s+1)(m+sk, k) (cycle) or S_(s+1)(m+sk, k)
+    (subset), for k = 0..m.
+
+    These carry the De Moivre triangles of the library sequences:
+    A(m, k; 1/(j+s)) and A(m, k; 1/(j+s)!) equal k!/(m+sk)! T_s(m, k)
+    (Comtet, Advanced Combinatorics, 1974).  Rows grow in m by
+        cycle:  T(m, k) = (n-1) T(m-1, k) + (n-1)...(n-s) T(m-1, k-1),
+        subset: T(m, k) = k T(m-1, k) + C(n-1, s) T(m-1, k-1),
+    with n = m + s k.  Each reads only row m-1, so only the newest row is
+    kept; asking for an earlier row starts again from row 0.
+    """
+    state = _ASSOCIATED.get((kind, s))
+    if state is None or state[0] > m:
+        state = _ASSOCIATED[(kind, s)] = [0, [1]]
+    mm, row = state
+    while mm < m:
+        mm += 1
+        new = [0] * (mm + 1)
+        for k in range(1, mm + 1):
+            n = mm + s * k
+            keep = row[k] if k < mm else 0
+            if kind == "cycle":
+                new[k] = (n - 1) * keep + perm(n - 1, s) * row[k - 1]
+            else:
+                new[k] = k * keep + comb(n - 1, s) * row[k - 1]
+        row = new
+    state[0], state[1] = mm, row
+    return row
+
+
 def stirling_associated(kind: str, n: int, k: int, r: int) -> int:
     """Stirling numbers restricted to parts of size at least r.
 
-    subset: partitions of an n-set into k blocks, every block >= r elements,
-            computed as (n!/k!) * A(n-(r-1)k, k; 1/r!, 1/(r+1)!, ...).
-    cycle:  permutations with k cycles, every cycle >= r elements,
-            computed as (n!/k!) * A(n-(r-1)k, k; 1/r, 1/(r+1), ...).
-    r = 1 recovers the classical numbers; n = 0 gives 1 exactly at k = 0.
+    subset: partitions of an n-set into k blocks, every block >= r elements.
+    cycle:  permutations with k cycles, every cycle >= r elements.
+    Read off ``associated_row(kind, r - 1, n - (r-1) k)``.  r = 1 recovers
+    the classical numbers; n = 0 gives 1 exactly at k = 0.
     """
-    from .demoivre import demoivre, harmonic, inv_factorial
-
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
     if n < 0 or k < 0:
@@ -117,13 +149,9 @@ def stirling_associated(kind: str, n: int, k: int, r: int) -> int:
     if r < 1:
         raise ValueError("r must be at least 1")
     m = n - (r - 1) * k
-    if m < k or m < 0:
+    if m < k:
         return 0
-    seq = inv_factorial(r - 1) if kind == "subset" else harmonic(r - 1)
-    val = Fraction(factorial(n), factorial(k)) * demoivre(m, k, seq)
-    if val.denominator != 1:
-        raise ArithmeticError("associated Stirling value is not an integer")
-    return val.numerator
+    return associated_row(kind, r - 1, m)[k]
 
 
 _ENUM_CAP = 12

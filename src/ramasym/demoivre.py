@@ -6,21 +6,26 @@ For a sequence a_1, a_2, ... the quantity computed here is
 
 the n-th coefficient of the k-th power of the series.  A(n, k; a) vanishes
 for n < k, A(n, 0; a) is 1 exactly when n = 0, and each value is a finite
-sum of k-fold products of sequence entries.  Everything is computed by
-truncated series convolution, row by row in k, so a whole triangle of
-values costs one pass and individual queries are cheap after that.
+sum of k-fold products of sequence entries.  A whole triangle of values
+is built in one pass and cached, so individual queries are cheap after that.
 
-The sequence entries may live in any commutative ring that coerces ints and
-Fractions (exact rationals, polynomials, rational functions): convolution
-only ever adds and multiplies.
+The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) made by ``harmonic``
+and ``inv_factorial`` read their triangles off integer associated-Stirling
+rows (``combinat.associated_row``).  Every other sequence takes truncated
+series convolution, row by row in k; its entries may live in any
+commutative ring that coerces ints and Fractions (exact rationals,
+polynomials, rational functions), since convolution only ever adds and
+multiplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Optional
+
+from .combinat import associated_row, binomial, eulerian2, stirling
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,25 +47,42 @@ class CoeffSequence:
         return self.term(j)
 
 
+@dataclass(frozen=True, kw_only=True)
+class _Library(CoeffSequence):
+    """1/(j + shift) (cycle) or 1/(j + shift)! (subset) with shift >= 0,
+    as made by ``harmonic`` and ``inv_factorial``: its triangle is read off
+    integer associated-Stirling rows instead of the convolution."""
+
+    kind: str
+    shift: int
+
+
 def harmonic(shift: int = 0) -> CoeffSequence:
     """The sequence 1/(j + shift) for j = 1, 2, ..."""
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     tag = "1/j" if shift == 0 else f"1/(j+{shift})"
-    return CoeffSequence(lambda j: Fraction(1, j + shift), tag)
+    return _Library(term=lambda j: Fraction(1, j + shift), tag=tag,
+                    kind="cycle", shift=shift)
 
 
 def inv_factorial(shift: int = 0) -> CoeffSequence:
     """The sequence 1/(j + shift)! for j = 1, 2, ...; shift >= -1 allowed."""
     if shift < -1:
         raise ValueError("shift must be at least -1")
-    if shift == 0:
-        tag = "1/j!"
-    elif shift == -1:
-        tag = "1/(j-1)!"
-    else:
-        tag = f"1/(j+{shift})!"
-    return CoeffSequence(lambda j: Fraction(1, factorial(j + shift)), tag)
+    if shift == -1:
+        return CoeffSequence(lambda j: Fraction(1, factorial(j - 1)),
+                             "1/(j-1)!")
+    tag = "1/j!" if shift == 0 else f"1/(j+{shift})!"
+    return _Library(term=lambda j: Fraction(1, factorial(j + shift)),
+                    tag=tag, kind="subset", shift=shift)
+
+
+def convolution(seq: CoeffSequence) -> CoeffSequence:
+    """The same sequence under a ``conv:`` tag, so its triangle is always
+    built by the ring-generic convolution: the independent side of the
+    checks on the integer route."""
+    return CoeffSequence(seq.term, f"conv:{seq.tag}" if seq.tag else None)
 
 
 class _PowerTable:
@@ -104,14 +126,37 @@ class _PowerTable:
         return self.rows[k][n]
 
 
-_TABLES: dict[str, _PowerTable] = {}
+class _AssociatedTable:
+    """Triangle A(m, k) = k!/(m + s k)! T_s(m, k) of a library sequence.
+
+    rows[m][k] holds A(m, k); each row is made from the integer row
+    ``combinat.associated_row(kind, s, m)`` when first needed.
+    """
+
+    __slots__ = ("kind", "shift", "rows")
+
+    def __init__(self, seq: _Library):
+        self.kind, self.shift = seq.kind, seq.shift
+        self.rows = []
+
+    def value(self, n: int, k: int):
+        rows, s = self.rows, self.shift
+        while len(rows) <= n:
+            m = len(rows)
+            rows.append([Fraction(factorial(kk) * t, factorial(m + s * kk))
+                         for kk, t in enumerate(
+                             associated_row(self.kind, s, m))])
+        return rows[n][k]
+
+
+_TABLES: dict[str, object] = {}
 
 
 def clear_caches() -> None:
     """Drop every memo in the package (mainly for benchmarks and tests):
     the triangles, every ``lru_cache`` of the coefficient, polynomial and
-    combinatorial modules, and the Stirling and Eulerian rows past their
-    seed rows."""
+    combinatorial modules, the Stirling and Eulerian rows past their seed
+    rows, and the associated-Stirling rows."""
     from . import coefficients, combinat, polys
     _TABLES.clear()
     for mod in (coefficients, combinat, polys):
@@ -121,14 +166,16 @@ def clear_caches() -> None:
     for rows in combinat._STIRLING.values():
         del rows[1:]
     del combinat._EULERIAN2[1:]
+    combinat._ASSOCIATED.clear()
 
 
-def _table(seq: CoeffSequence) -> _PowerTable:
+def _table(seq: CoeffSequence):
+    make = _AssociatedTable if isinstance(seq, _Library) else _PowerTable
     if seq.tag is None:
-        return _PowerTable(seq)
+        return make(seq)
     tab = _TABLES.get(seq.tag)
     if tab is None:
-        tab = _TABLES[seq.tag] = _PowerTable(seq)
+        tab = _TABLES[seq.tag] = make(seq)
     return tab
 
 
@@ -210,10 +257,6 @@ def special_closed_forms(n: int, k: int, which: str) -> Fraction:
       subset1_power     1/(j+1)! power sum
       subset2_power     1/(j+2)! power sum
     """
-    from math import comb
-
-    from .combinat import binomial, eulerian2, stirling
-
     if which not in _CLOSED_FORM_MODES:
         raise ValueError(f"unknown closed form {which!r}")
     if n < 0 or k < 0:

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramasym
 from ramasym import combinat
 from ramasym.coefficients import U_coeff, psi, psi_zero, rho, rho_zero
-from ramasym.combinat import enumerate_oracle, eulerian2, stirling
+from ramasym.combinat import (enumerate_oracle, eulerian2, stirling,
+                              stirling_associated)
 from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
-                              clear_caches, demoivre, harmonic,
+                              _AssociatedTable, _PowerTable, _table,
+                              clear_caches, convolution, demoivre, harmonic,
                               inv_factorial, special_closed_forms, strip_r)
 
 fracs = st.fractions(
@@ -86,6 +89,42 @@ class TestAgainstBruteForce:
                     n, k, f)
 
 
+class TestIntegerRoute:
+    """1/(j+s) and 1/(j+s)! read their triangles off integer
+    associated-Stirling rows; everything else takes the convolution."""
+
+    def test_routing(self):
+        for s in range(3):
+            assert isinstance(_table(harmonic(s)), _AssociatedTable)
+            assert isinstance(_table(inv_factorial(s)), _AssociatedTable)
+            assert isinstance(_table(convolution(harmonic(s))), _PowerTable)
+        assert isinstance(_table(inv_factorial(-1)), _PowerTable)
+
+    @given(st.sampled_from([harmonic, inv_factorial]), st.integers(0, 4),
+           st.integers(0, 40), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_convolution_and_brute_force(self, factory, s, n, k):
+        seq = factory(s)
+        got = demoivre(n, k, seq)
+        assert got == demoivre(n, k, convolution(seq))
+        assert got == brute_force(n, k, [seq(j) for j in range(1, n + 1)])
+
+    def test_stirling_associated_past_the_enumeration_cap(self):
+        # n <= 40 against the convolution, rows visited in increasing m
+        for factory, kind in ((harmonic, "cycle"), (inv_factorial, "subset")):
+            for r in (1, 2, 3, 4):
+                conv = convolution(factory(r - 1))
+                for m in range(41):
+                    for k in range(m + 1):
+                        n = m + (r - 1) * k
+                        if n > 40:
+                            break
+                        want = Fraction(factorial(n), factorial(k)) \
+                            * demoivre(m, k, conv)
+                        assert stirling_associated(kind, n, k, r) == want, \
+                            (kind, n, k, r)
+
+
 class TestAlgebraicProperties:
     @given(st.lists(fracs, min_size=1, max_size=5), fracs,
            st.integers(0, 6), st.integers(0, 3))
@@ -146,7 +185,7 @@ class TestClosedForms:
         for n in range(9):
             for k in range(6):
                 assert special_closed_forms(n, k, which) \
-                    == demoivre(n, k, seq), (which, n, k)
+                    == demoivre(n, k, convolution(seq)), (which, n, k)
 
     def test_power_form_value(self):
         # A_{m+k,k} of 1/(j-1)! collapses to k^m / m! since the series
@@ -171,14 +210,23 @@ def test_clear_caches_preserves_results():
     def compute():
         return (demoivre(7, 3, harmonic()), rho(6), rho_zero(6, "tilde"),
                 psi(3), psi_zero(5), U_coeff(3), stirling("cycle", 9, 4),
-                eulerian2(7, 3), enumerate_oracle("subset", 6, 2, 2))
+                eulerian2(7, 3), enumerate_oracle("subset", 6, 2, 2),
+                stirling_associated("cycle", 12, 3, 3))
 
     before = compute()
     caches = _package_lru_caches()
     assert any(c.cache_info().currsize for c in caches)
+    assert combinat._ASSOCIATED
     clear_caches()
     for c in caches:
         assert c.cache_info().currsize == 0, c
     assert combinat._STIRLING == {"cycle": [[1]], "subset": [[1]]}
     assert combinat._EULERIAN2 == [[1]]
+    assert combinat._ASSOCIATED == {}
     assert compute() == before
+
+
+def test_submodule_is_not_shadowed():
+    import ramasym.demoivre as dm
+    assert dm is sys.modules["ramasym.demoivre"]
+    assert "demoivre" not in ramasym.__all__
