@@ -192,11 +192,10 @@ def check_dual_forms(max_r: int = 25, max_r_u: int = 15) -> list:
 def _padded(seq: CoeffSequence, zeros: int) -> CoeffSequence:
     """The sequence with ``zeros`` extra leading zero terms."""
     return CoeffSequence(
-        lambda j: Fraction(0) if j <= zeros else seq(j - zeros),
-        f"pad{zeros}:{seq.tag}" if seq.tag else None)
+        lambda j: Fraction(0) if j <= zeros else seq(j - zeros))
 
 
-_GAMMA_POLY_SEQ = CoeffSequence(lambda j: cf.gamma_coeff(j), "gamma[v]")
+_GAMMA_POLY_SEQ = CoeffSequence(lambda j: cf.gamma_coeff(j))
 
 
 def _psi_by_demoivre(r: int) -> PolyV:
@@ -233,10 +232,11 @@ def check_identities(max_n: int = 12) -> list:
 
     def closed_pairs():
         for mode, seq in CLOSED_FORM_SEQUENCES.items():
+            conv = convolution(seq)
             for n in range(max_n + 1):
                 for k in range(n + 1):
                     yield special_closed_forms(n, k, mode), \
-                        demoivre(n, k, convolution(seq)), \
+                        demoivre(n, k, conv), \
                         f"{mode} n={n} k={k}"
 
     out.append(_all_equal(
@@ -274,10 +274,11 @@ def check_identities(max_n: int = 12) -> list:
             for base, shifted, name in (
                     (harmonic(0), harmonic(r), "cycle"),
                     (inv_factorial(0), inv_factorial(r), "subset")):
+                conv = convolution(shifted)
                 for n in range(max_n + 1):
                     for k in range(min(n, 6) + 1):
                         yield strip_r(n, k, r, base), \
-                            demoivre(n, k, convolution(shifted)), \
+                            demoivre(n, k, conv), \
                             f"{name} r={r} n={n} k={k}"
 
     out.append(_all_equal(
@@ -305,7 +306,7 @@ def check_identities(max_n: int = 12) -> list:
                 for n in range(31):
                     for k in range(n + 1):
                         yield demoivre(n, k, seq), demoivre(n, k, conv), \
-                            f"{seq.tag} n={n} k={k}"
+                            f"{seq.kind} s={s} n={n} k={k}"
 
     out.append(_all_equal(
         "associated-recurrence-vs-convolution", recurrence_pairs(),
@@ -424,7 +425,7 @@ def check_saddle(max_s: int = 8, max_r: int = 5) -> list:
     data_beta = cf.SaddleData(
         mu=2, a=Fraction(1),
         p=lambda j: Fraction((-1) ** j, j + 2),
-        q=lambda j: binomial_poly(j), tag="engine:beta")
+        q=lambda j: binomial_poly(j))
 
     def beta_pairs():
         for s in range(max_s + 1):
@@ -445,8 +446,7 @@ def check_saddle(max_s: int = 8, max_r: int = 5) -> list:
 
     data_u = cf.SaddleData(
         mu=1, a=Fraction(1), p=pseq,
-        q=lambda j: RationalFnW(PolyW([binomial_poly(j)]), 0),
-        tag="engine:u")
+        q=lambda j: RationalFnW(PolyW([binomial_poly(j)]), 0))
 
     def u_pairs():
         for r in range(max_r + 1):

@@ -10,16 +10,14 @@ Subcommands:
 
 JSON is the default output format (CSV for szego, plain text for verify);
 ``--format`` accepts only the formats a command writes, e.g. ``plain`` for
-bare text.  The RAMA_PRECISION environment variable overrides the default
-working precision of 50 digits.  Exit status: 0 on
-success, 1 on failed checks or domain errors, 2 on usage errors.
+bare text.  Exit status: 0 on success, 1 on failed checks or domain
+errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -33,18 +31,6 @@ from .numcore import (GaussianRational, PrecisionError, format_bigfloat,
 from .oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
                      oracle_psi, oracle_theta)
 from .polys import PolyV, RationalFnW, Sqrt2Scaled
-
-
-def _default_digits() -> int:
-    env = os.environ.get("RAMA_PRECISION")
-    if env:
-        try:
-            d = int(env)
-            if d > 0:
-                return d
-        except ValueError:
-            pass
-    return 50
 
 
 def _emit(args, payload, plain_text: str) -> None:
@@ -278,9 +264,9 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--digits", type=int, default=_default_digits(),
+    common.add_argument("--digits", type=int, default=50,
                         help="working precision in decimal digits "
-                             "(default 50; env RAMA_PRECISION)")
+                             "(default 50)")
 
     p = _Parser(
         prog="ramasym",
@@ -299,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evaluate at this rational v (default: symbolic)")
     pc.add_argument("--w", default=None,
                     help="evaluate U at this Gaussian rational w")
-    pc.add_argument("--symbolic", "--symbolic-v", action="store_true",
+    pc.add_argument("--symbolic", action="store_true",
                     help="force the symbolic polynomial form")
     pc.add_argument("--mode", default="plain",
                     help="family variant (plain, tilde; U also accepts "

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Callable, Optional
 
 from .combinat import binomial, double_factorial
-from .demoivre import CoeffSequence, demoivre, harmonic, inv_factorial
+from .demoivre import CoeffSequence, _table, harmonic, inv_factorial
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly, \
     w_minus_1_pow
 
@@ -50,9 +50,10 @@ def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
 
 def _inner_sum(m: int, seq: CoeffSequence, weights: list):
     """sum_k weights[k] A(m, k; seq), in the ring the weights live in."""
+    tab = _table(seq)
     total = Fraction(0)
     for k in range(m + 1):
-        A = demoivre(m, k, seq)
+        A = tab.value(m, k)
         if A:
             total = total + weights[k] * A
     return total
@@ -312,15 +313,19 @@ class SaddleData:
 
     mu is the vanishing order at the endpoint, a the power weight, p(j) the
     phase-series coefficients (p(0) invertible), q(j) the amplitude-series
-    coefficients.  ``tag`` keys the memo table for the ratio sequence
-    p(j)/p(0); it must uniquely identify that sequence.
+    coefficients.  Each data object keeps one ratio sequence p(j)/p(0), so
+    every ``alpha_s`` on it shares one De Moivre triangle.
     """
 
     mu: int
     a: Fraction
     p: Callable[[int], object]
     q: Callable[[int], object]
-    tag: Optional[str] = None
+
+    @cached_property
+    def _ratio(self) -> CoeffSequence:
+        inv_p0 = _ring_inverse(self.p(0))
+        return CoeffSequence(lambda j: self.p(j) * inv_p0)
 
 
 @dataclass(frozen=True)
@@ -352,15 +357,11 @@ def alpha_s(data: SaddleData, s: int) -> SaddleCoefficient:
         raise ValueError("s must be nonnegative")
     if data.mu < 1:
         raise ValueError("mu must be a positive integer")
-    p0 = data.p(0)
-    inv_p0 = _ring_inverse(p0)
-    ratio = CoeffSequence(lambda j: data.p(j) * inv_p0,
-                          f"saddle:{data.tag}" if data.tag else None)
     expo = Fraction(-(s + Fraction(data.a)), data.mu)
     weights = [binomial(expo, j) for j in range(s + 1)]
     total = Fraction(0)
     for m in range(s + 1):
-        inner = _inner_sum(m, ratio, weights)
+        inner = _inner_sum(m, data._ratio, weights)
         if inner:
             total = total + data.q(s - m) * inner
-    return SaddleCoefficient(p0, expo, Fraction(1, data.mu) * total)
+    return SaddleCoefficient(data.p(0), expo, Fraction(1, data.mu) * total)

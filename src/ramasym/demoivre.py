@@ -20,11 +20,13 @@ multiplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Callable
 
+from . import combinat
 from .combinat import associated_row, binomial, eulerian2, stirling
 
 _ZERO = Fraction(0)
@@ -33,15 +35,15 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class CoeffSequence:
-    """A deterministic 1-indexed coefficient sequence with a cache tag.
+    """A deterministic 1-indexed coefficient sequence.
 
-    ``term(j)`` must return the same value every call.  Sequences sharing a
-    tag share a memo table, so a tag must uniquely identify the sequence;
-    pass ``tag=None`` to opt out of caching.
+    ``term(j)`` must return the same value every call.  The sequence is its
+    own memo key: it equals only a sequence over the same ``term`` object,
+    so two sequences share a De Moivre triangle exactly when they are made
+    from one term function.
     """
 
     term: Callable[[int], object]
-    tag: Optional[str] = None
 
     def __call__(self, j: int):
         return self.term(j)
@@ -51,8 +53,10 @@ class CoeffSequence:
 class _Library(CoeffSequence):
     """1/(j + shift) (cycle) or 1/(j + shift)! (subset) with shift >= 0,
     as made by ``harmonic`` and ``inv_factorial``: its triangle is read off
-    integer associated-Stirling rows instead of the convolution."""
+    integer associated-Stirling rows instead of the convolution.  Equal,
+    and so sharing that triangle, whenever kind and shift agree."""
 
+    term: Callable[[int], object] = field(compare=False)
     kind: str
     shift: int
 
@@ -61,9 +65,12 @@ def harmonic(shift: int = 0) -> CoeffSequence:
     """The sequence 1/(j + shift) for j = 1, 2, ..."""
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    tag = "1/j" if shift == 0 else f"1/(j+{shift})"
-    return _Library(term=lambda j: Fraction(1, j + shift), tag=tag,
+    return _Library(term=lambda j: Fraction(1, j + shift),
                     kind="cycle", shift=shift)
+
+
+def _inv_factorial_prev(j: int) -> Fraction:
+    return Fraction(1, factorial(j - 1))
 
 
 def inv_factorial(shift: int = 0) -> CoeffSequence:
@@ -71,18 +78,16 @@ def inv_factorial(shift: int = 0) -> CoeffSequence:
     if shift < -1:
         raise ValueError("shift must be at least -1")
     if shift == -1:
-        return CoeffSequence(lambda j: Fraction(1, factorial(j - 1)),
-                             "1/(j-1)!")
-    tag = "1/j!" if shift == 0 else f"1/(j+{shift})!"
+        return CoeffSequence(_inv_factorial_prev)
     return _Library(term=lambda j: Fraction(1, factorial(j + shift)),
-                    tag=tag, kind="subset", shift=shift)
+                    kind="subset", shift=shift)
 
 
 def convolution(seq: CoeffSequence) -> CoeffSequence:
-    """The same sequence under a ``conv:`` tag, so its triangle is always
-    built by the ring-generic convolution: the independent side of the
-    checks on the integer route."""
-    return CoeffSequence(seq.term, f"conv:{seq.tag}" if seq.tag else None)
+    """The same terms as a new plain sequence, equal to no other, so its
+    triangle is always built afresh by the ring-generic convolution: the
+    independent side of the checks on the integer route."""
+    return CoeffSequence(lambda j: seq(j))
 
 
 class _PowerTable:
@@ -149,20 +154,20 @@ class _AssociatedTable:
         return rows[n][k]
 
 
-_TABLES: dict[str, object] = {}
+_TABLES: dict[CoeffSequence, object] = {}
 
 
 def clear_caches() -> None:
     """Drop every memo in the package (mainly for benchmarks and tests):
-    the triangles, every ``lru_cache`` of the coefficient, polynomial and
-    combinatorial modules, the Stirling and Eulerian rows past their seed
-    rows, and the associated-Stirling rows."""
-    from . import coefficients, combinat, polys
+    the triangles, every ``lru_cache`` of every loaded ``ramasym`` module,
+    the Stirling and Eulerian rows past their seed rows, and the
+    associated-Stirling rows."""
     _TABLES.clear()
-    for mod in (coefficients, combinat, polys):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == __package__:
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
     for rows in combinat._STIRLING.values():
         del rows[1:]
     del combinat._EULERIAN2[1:]
@@ -170,12 +175,12 @@ def clear_caches() -> None:
 
 
 def _table(seq: CoeffSequence):
-    make = _AssociatedTable if isinstance(seq, _Library) else _PowerTable
-    if seq.tag is None:
-        return make(seq)
-    tab = _TABLES.get(seq.tag)
+    """The memoized triangle of ``seq``: ``.value(n, k)`` is A(n, k) for
+    n >= k (``demoivre`` settles the other cases first)."""
+    tab = _TABLES.get(seq)
     if tab is None:
-        tab = _TABLES[seq.tag] = make(seq)
+        make = _AssociatedTable if isinstance(seq, _Library) else _PowerTable
+        tab = _TABLES[seq] = make(seq)
     return tab
 
 

@@ -356,7 +356,7 @@ class RationalFnW(RingOps):
                 body = f"({num_str})" if wrap else num_str
             if i:
                 vp = "v" if i == 1 else f"v^{i}"
-                body = f"{vp}*{body}"
+                body = vp + body[1:] if num_str == "1" else f"{vp}*{body}"
             chunks.append("-" + body if neg else body)
         return _join_terms(chunks)
 

@@ -51,7 +51,7 @@ class TestCoeff:
     def test_u_tilde_mode(self, capsys):
         code, out, _ = run(capsys, "coeff", "U", "--r", "1", "--mode",
                            "tilde", "--format", "plain")
-        assert code == 0 and "1/(1-w)^2" in out
+        assert code == 0 and out == "-w/(1-w)^3 - v/(1-w)^2\n"
 
     def test_u_evaluated_at_gaussian_point(self, capsys):
         code, out, _ = run(capsys, "coeff", "U", "--r", "1", "--w", "1/2",
@@ -283,17 +283,9 @@ class TestParsingAndEnvironment:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "68476482/232058125-1457894028/232058125i\n"
 
-    def test_env_precision_sets_default_digits(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAMA_PRECISION", "8")
-        code, out, _ = run(capsys, "oracle", "theta", "--n", "10",
-                           "--format", "plain")
+    def test_digits_default_to_50(self, capsys):
+        argv = ("oracle", "theta", "--n", "10", "--format", "plain")
+        code, default, _ = run(capsys, *argv)
         assert code == 0
-        mantissa = out.strip().replace("0.", "")
-        assert len(mantissa) <= 10
-
-    def test_env_precision_ignored_when_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAMA_PRECISION", "banana")
-        code, out, _ = run(capsys, "oracle", "theta", "--n", "10",
-                           "--format", "plain")
-        assert code == 0
-        assert len(out.strip()) > 40      # fell back to 50 digits
+        assert default == run(capsys, *argv, "--digits", "50")[1]
+        assert default != run(capsys, *argv, "--digits", "49")[1]

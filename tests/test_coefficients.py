@@ -11,6 +11,7 @@ from mpmath import mp
 from ramasym.coefficients import (SaddleData, U_coeff, alpha_s, beta,
                                   check_conjecture, gamma_coeff, gamma_zero,
                                   psi, psi_zero, rho, rho_zero, tau, tau_zero)
+from ramasym.demoivre import _TABLES
 from ramasym.numcore import GaussianRational
 from ramasym.polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
 
@@ -216,8 +217,7 @@ class TestSaddle:
         return SaddleData(
             mu=2, a=Fraction(1),
             p=lambda j: Fraction((-1) ** j, j + 2),
-            q=lambda j: binomial_poly(j),
-            tag="test-beta")
+            q=lambda j: binomial_poly(j))
 
     def test_reproduces_beta(self):
         data = self._beta_data()
@@ -242,7 +242,7 @@ class TestSaddle:
             return Fraction((-1) ** (j + 1), j + 1) * one
 
         data = SaddleData(mu=1, a=Fraction(1), p=p,
-                          q=lambda j: binomial_poly(j), tag="test-u")
+                          q=lambda j: binomial_poly(j))
         for r in range(4):
             a = alpha_s(data, r)
             delta = one if r == 0 else RationalFnW(PolyW(), 0)
@@ -253,6 +253,25 @@ class TestSaddle:
         data = self._beta_data()
         with pytest.raises(ValueError):
             alpha_s(data, -1)
-        bad = SaddleData(mu=0, a=Fraction(1), p=data.p, q=data.q, tag="bad")
+        bad = SaddleData(mu=0, a=Fraction(1), p=data.p, q=data.q)
         with pytest.raises(ValueError):
             alpha_s(bad, 1)
+
+    @staticmethod
+    def _data(p):
+        return SaddleData(mu=1, a=Fraction(1), p=p, q=lambda j: Fraction(1))
+
+    def test_different_phases_keep_their_own_alpha(self):
+        before = len(_TABLES)
+        ones = self._data(lambda j: Fraction(1))
+        rising = self._data(lambda j: Fraction(j + 1))
+        assert alpha_s(ones, 3).factor == -1
+        assert alpha_s(rising, 3).factor == -35
+        assert len(_TABLES) == before + 2
+
+    def test_one_triangle_per_data_object(self):
+        data = self._beta_data()
+        before = len(_TABLES)
+        for s in range(9):
+            alpha_s(data, s)
+        assert len(_TABLES) == before + 1

@@ -1,8 +1,11 @@
 """Power-series composition coefficients and their closed-form shortcuts."""
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from ramasym.coefficients import U_coeff, psi, psi_zero, rho, rho_zero
 from ramasym.combinat import (enumerate_oracle, eulerian2, stirling,
                               stirling_associated)
 from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
-                              _AssociatedTable, _PowerTable, _table,
+                              _TABLES, _AssociatedTable, _PowerTable, _table,
                               clear_caches, convolution, demoivre, harmonic,
                               inv_factorial, special_closed_forms, strip_r)
 
@@ -43,13 +46,13 @@ def brute_force(n, k, terms):
     return power[n] if n < len(power) else Fraction(0)
 
 
-def sequence_from(terms, label):
+def sequence_from(terms):
     vals = tuple(Fraction(t) for t in terms)
 
     def term(j):
         return vals[j - 1] if j <= len(vals) else Fraction(0)
 
-    return CoeffSequence(term, ("test", label, vals))
+    return CoeffSequence(term)
 
 
 class TestDeMoivreBasics:
@@ -76,7 +79,7 @@ class TestAgainstBruteForce:
            st.integers(0, 7), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_random_sequences(self, terms, n, k):
-        seq = sequence_from(terms, "bf")
+        seq = sequence_from(terms)
         assert demoivre(n, k, seq) == brute_force(n, k, terms)
 
     def test_named_sequences(self):
@@ -132,8 +135,8 @@ class TestAlgebraicProperties:
     def test_homogeneity_in_the_sequence(self, terms, c, n, k):
         # scaling every a_j by c scales A_{n,k} by c^k
         scaled = [c * t for t in terms]
-        lhs = demoivre(n, k, sequence_from(scaled, "hom"))
-        rhs = c ** k * demoivre(n, k, sequence_from(terms, "bf"))
+        lhs = demoivre(n, k, sequence_from(scaled))
+        rhs = c ** k * demoivre(n, k, sequence_from(terms))
         assert lhs == rhs
 
     @given(st.lists(fracs, min_size=1, max_size=5), fracs,
@@ -142,8 +145,8 @@ class TestAlgebraicProperties:
     def test_grading(self, terms, c, n, k):
         # substituting x -> c x multiplies a_j by c^j and A_{n,k} by c^n
         graded = [c ** j * t for j, t in enumerate(terms, start=1)]
-        lhs = demoivre(n, k, sequence_from(graded, "grade"))
-        rhs = c ** n * demoivre(n, k, sequence_from(terms, "bf"))
+        lhs = demoivre(n, k, sequence_from(graded))
+        rhs = c ** n * demoivre(n, k, sequence_from(terms))
         assert lhs == rhs
 
     @given(st.lists(fracs, min_size=2, max_size=6),
@@ -151,8 +154,8 @@ class TestAlgebraicProperties:
     @settings(max_examples=40, deadline=None)
     def test_strip_r(self, terms, n, k, r):
         # the multinomial sum equals A(n, k) of a_{r+1}, a_{r+2}, ...
-        full = sequence_from(terms, "bf")
-        slid = sequence_from(terms[r:], f"slide{r}")
+        full = sequence_from(terms)
+        slid = sequence_from(terms[r:])
         assert strip_r(n, k, r, full) == demoivre(n, k, slid)
 
     def test_strip_r_rejects_zero(self):
@@ -172,10 +175,41 @@ class TestShiftedFactories:
         for j in range(1, 6):
             assert seq.term(j) == Fraction(1, factorial(j - 1))
 
-    def test_distinct_tags_do_not_collide(self):
-        a = demoivre(4, 2, harmonic(0))
-        b = demoivre(4, 2, harmonic(1))
-        assert a != b
+
+class TestSequenceKeys:
+    """Each sequence is its own memo key: equal sequences share one
+    triangle, and no other sequence reaches it."""
+
+    def test_library_sequences_share_one_triangle(self):
+        for factory in (harmonic, inv_factorial):
+            for s in range(3):
+                assert factory(s) == factory(s)
+                assert _table(factory(s)) is _table(factory(s))
+        assert _table(inv_factorial(-1)) is _table(inv_factorial(-1))
+        assert harmonic(1) != inv_factorial(1)
+        assert harmonic(1) != harmonic(2)
+
+    def test_convolution_is_a_sequence_of_its_own(self):
+        seq = harmonic(2)
+        conv = convolution(seq)
+        assert conv != seq and conv != convolution(seq)
+        assert _table(conv) is _table(conv)
+        assert _table(conv) is not _table(seq)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_different_terms_keep_their_own_values(self, order):
+        # A(3, 2) of c, c, c, ... is 2 c^2
+        seqs = (CoeffSequence(lambda j: Fraction(1)),
+                CoeffSequence(lambda j: Fraction(2)))
+        got = {i: demoivre(3, 2, seqs[i]) for i in order}
+        assert got == {0: 2, 1: 8}
+        assert all(seq in _TABLES for seq in seqs)
+
+    def test_no_user_sequence_changes_rho(self):
+        user = CoeffSequence(lambda j: Fraction(j))
+        demoivre(12, 6, user)
+        assert user in _TABLES
+        assert str(rho.__wrapped__(1)) == "4/135 - 1/3*v^2 - 1/3*v^3"
 
 
 class TestClosedForms:
@@ -224,6 +258,25 @@ def test_clear_caches_preserves_results():
     assert combinat._EULERIAN2 == [[1]]
     assert combinat._ASSOCIATED == {}
     assert compute() == before
+
+
+def test_import_leaves_every_memo_empty():
+    # a cold benchmark operation counts on this: importing the package,
+    # the ledger and the CLI fills no lru_cache and no triangle
+    code = ("import sys, ramasym, ramasym.checks, ramasym.cli\n"
+            "full = [f'{name}.{key}' for name, mod in sys.modules.items()\n"
+            "        if name.startswith('ramasym')\n"
+            "        for key, obj in vars(mod).items()\n"
+            "        if hasattr(obj, 'cache_info') and obj.cache_info().currsize]\n"
+            "print(full, len(sys.modules['ramasym.demoivre']._TABLES))\n")
+    src = str(Path(ramasym.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"
 
 
 def test_submodule_is_not_shadowed():

@@ -241,14 +241,14 @@ class TestRationalFnWStrings:
         ],
         "tilde": [
             "1/(1-w)",
-            "-w/(1-w)^3 - v*1/(1-w)^2",
-            "(w + 2*w^2)/(1-w)^5 + v*3*w/(1-w)^4 + v^2*1/(1-w)^3",
+            "-w/(1-w)^3 - v/(1-w)^2",
+            "(w + 2*w^2)/(1-w)^5 + v*3*w/(1-w)^4 + v^2/(1-w)^3",
             "-(w + 8*w^2 + 6*w^3)/(1-w)^7 - v*(4*w + 11*w^2)/(1-w)^6"
-            " - v^2*6*w/(1-w)^5 - v^3*1/(1-w)^4",
+            " - v^2*6*w/(1-w)^5 - v^3/(1-w)^4",
             "(w + 22*w^2 + 58*w^3 + 24*w^4)/(1-w)^9"
             " + v*(5*w + 50*w^2 + 50*w^3)/(1-w)^8"
             " + v^2*(10*w + 35*w^2)/(1-w)^7 + v^3*10*w/(1-w)^6"
-            " + v^4*1/(1-w)^5",
+            " + v^4/(1-w)^5",
         ],
     }
 
