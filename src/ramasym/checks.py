@@ -195,14 +195,11 @@ def _padded(seq: CoeffSequence, zeros: int) -> CoeffSequence:
         lambda j: Fraction(0) if j <= zeros else seq(j - zeros))
 
 
-_GAMMA_POLY_SEQ = CoeffSequence(lambda j: cf.gamma_coeff(j))
-
-
-def _psi_by_demoivre(r: int) -> PolyV:
+def _psi_by_demoivre(r: int, gammas: CoeffSequence) -> PolyV:
     """psi_r = sum_m tau_(r-m) I_m with the coefficients of
-    1/(1 + gamma_1 x + ...) read off De Moivre powers of the gamma series:
-    I_m = sum_k (-1)^k A(m, k; gamma_1, gamma_2, ...)."""
-    return sum((cf.tau(r - m) * (-1) ** k * demoivre(m, k, _GAMMA_POLY_SEQ)
+    1/(1 + gamma_1 x + ...) read off De Moivre powers of the gamma series
+    ``gammas``: I_m = sum_k (-1)^k A(m, k; gamma_1, gamma_2, ...)."""
+    return sum((cf.tau(r - m) * (-1) ** k * demoivre(m, k, gammas)
                 for m in range(r + 1) for k in range(m + 1)), PolyV())
 
 
@@ -243,9 +240,10 @@ def check_identities(max_n: int = 12) -> list:
         "closed-forms-vs-convolution", closed_pairs(),
         f"all closed-form modes match the convolution for n <= {max_n}"))
 
+    prev_factorial = inv_factorial(-1)
     out.append(_all_equal(
         "power-form",
-        ((demoivre(m + k, k, inv_factorial(-1)),
+        ((demoivre(m + k, k, prev_factorial),
           Fraction(k ** m, factorial(m)), f"m={m} k={k}")
          for m in range(11) for k in range(11)),
         "A(m+k, k; 1/0!, 1/1!, ...) = k^m/m!"))
@@ -362,9 +360,11 @@ def check_identities(max_n: int = 12) -> list:
           cf.rho_zero(j), f"j={j}") for j in range(11)),
         "rho_j(0) from min-size-3 subset counts for j <= 10"))
 
+    gammas = CoeffSequence(cf.gamma_coeff)
     out.append(_all_equal(
         "psi-inversion-vs-demoivre",
-        ((cf.psi(r), _psi_by_demoivre(r), f"r={r}") for r in range(9)),
+        ((cf.psi(r), _psi_by_demoivre(r, gammas), f"r={r}")
+         for r in range(9)),
         "psi_r by the reciprocal-series recurrence equals the De Moivre "
         "inversion over polynomials in v for r <= 8"))
 

@@ -222,14 +222,17 @@ def cmd_szego(args) -> int:
 _SUITES = {
     "identities": checks.run_identity_suite,
     "conjecture": checks.check_conjecture_range,
-    "convergence": lambda max_r: checks.check_convergence(),
-    "regions": lambda max_r: checks.check_regions(),
+    "convergence": checks.check_convergence,
+    "regions": checks.check_regions,
     "all": checks.run_all,
 }
+# the suites that read --max-r
+_MAX_R_SUITES = ("identities", "conjecture", "all")
 
 
 def cmd_verify(args) -> int:
-    results = _SUITES[args.suite](args.max_r)
+    suite = _SUITES[args.suite]
+    results = suite(args.max_r) if args.suite in _MAX_R_SUITES else suite()
     passed = sum(1 for r in results if r.ok)
     ok = passed == len(results)
     if args.format == "json":
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="family variant (plain, tilde; U also accepts "
                          "vzero_harmonic, vzero_factorial, eulerian, taylor)")
     pc.add_argument("--taylor-terms", type=int, default=None,
-                    help="truncation order for U mode taylor")
+                    help="truncation order for U mode taylor (at least 1)")
     pc.set_defaults(fn=cmd_coeff)
 
     pe = sub.add_parser("eval", parents=[common],
@@ -331,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the verification ledger")
     pv.add_argument("suite", choices=tuple(_SUITES))
     pv.add_argument("--max-r", type=int, default=None,
-                    help="index range override (conjecture default "
+                    help="index range override for identities, "
+                         "conjecture and all (conjecture default "
                          f"{checks._CONJECTURE_MAX_R})")
     pv.set_defaults(fn=cmd_verify)
 
@@ -345,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.max_r is not None \
+            and args.suite not in _MAX_R_SUITES:
+        parser.error(f"argument --max-r: verify {args.suite} does not "
+                     f"read it")
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, PrecisionError,

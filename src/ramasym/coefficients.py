@@ -29,7 +29,7 @@ from math import factorial
 from typing import Callable, Optional
 
 from .combinat import binomial, double_factorial
-from .demoivre import CoeffSequence, _table, harmonic, inv_factorial
+from .demoivre import CoeffSequence, harmonic, inv_factorial
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly, \
     w_minus_1_pow
 
@@ -50,10 +50,9 @@ def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
 
 def _inner_sum(m: int, seq: CoeffSequence, weights: list):
     """sum_k weights[k] A(m, k; seq), in the ring the weights live in."""
-    tab = _table(seq)
     total = Fraction(0)
     for k in range(m + 1):
-        A = tab.value(m, k)
+        A = seq.value(m, k)
         if A:
             total = total + weights[k] * A
     return total
@@ -245,7 +244,7 @@ def U_coeff(r: int, mode: str = "plain",
       vzero_harmonic  v = 0 single sum over 1/(j+1)
       vzero_factorial v = 0 single sum over 1/(j+1)!
       eulerian        v = 0 numerator read off second-order Eulerian numbers
-      taylor          v = 0 Taylor section at w = 0 (needs taylor_terms);
+      taylor          v = 0 Taylor section at w = 0 (needs taylor_terms >= 1);
                       agrees with the others only through that order
     """
     if mode not in _U_MODES:
@@ -283,8 +282,8 @@ def U_coeff(r: int, mode: str = "plain",
 
     # taylor
     from .combinat import stirling
-    if taylor_terms is None:
-        raise ValueError("taylor mode needs taylor_terms")
+    if taylor_terms is None or taylor_terms < 1:
+        raise ValueError("taylor mode needs taylor_terms >= 1")
     coeffs = [PolyV.const(1 if r == 0 else 0)]
     for j in range(1, taylor_terms):
         coeffs.append(PolyV.const(
@@ -313,8 +312,9 @@ class SaddleData:
 
     mu is the vanishing order at the endpoint, a the power weight, p(j) the
     phase-series coefficients (p(0) invertible), q(j) the amplitude-series
-    coefficients.  Each data object keeps one ratio sequence p(j)/p(0), so
-    every ``alpha_s`` on it shares one De Moivre triangle.
+    coefficients.  Each data object owns one ratio sequence p(j)/p(0), so
+    every ``alpha_s`` on it shares one De Moivre triangle, freed with the
+    object; a new data object starts a new triangle.
     """
 
     mu: int

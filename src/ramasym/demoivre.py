@@ -6,23 +6,24 @@ For a sequence a_1, a_2, ... the quantity computed here is
 
 the n-th coefficient of the k-th power of the series.  A(n, k; a) vanishes
 for n < k, A(n, 0; a) is 1 exactly when n = 0, and each value is a finite
-sum of k-fold products of sequence entries.  A whole triangle of values
-is built in one pass and cached, so individual queries are cheap after that.
+sum of k-fold products of sequence entries.  Each ``CoeffSequence`` owns
+its triangle of values and grows it as queries need it, so repeated
+queries on one sequence are cheap.
 
 The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) made by ``harmonic``
 and ``inv_factorial`` read their triangles off integer associated-Stirling
-rows (``combinat.associated_row``).  Every other sequence takes truncated
-series convolution, row by row in k; its entries may live in any
-commutative ring that coerces ints and Fractions (exact rationals,
-polynomials, rational functions), since convolution only ever adds and
-multiplies.
+rows (``combinat.associated_row``), shared by every sequence of one kind
+and shift.  Every other sequence takes truncated series convolution, row
+by row in k; its entries may live in any commutative ring that coerces
+ints and Fractions (exact rationals, polynomials, rational functions),
+since convolution only ever adds and multiplies.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Callable
 
@@ -33,76 +34,24 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class CoeffSequence:
-    """A deterministic 1-indexed coefficient sequence.
+    """A deterministic 1-indexed coefficient sequence and its De Moivre
+    triangle.
 
-    ``term(j)`` must return the same value every call.  The sequence is its
-    own memo key: it equals only a sequence over the same ``term`` object,
-    so two sequences share a De Moivre triangle exactly when they are made
-    from one term function.
+    ``term(j)`` must return the same value every call.  The sequence owns
+    its triangle: rows[kk][m] holds A(m, kk), grown by truncated
+    convolution as queries need it, and freed with the sequence.  A
+    sequence is equal only to itself, so no other sequence reads its
+    triangle; make it once and reuse it to reuse the triangle.
     """
 
-    term: Callable[[int], object]
+    def __init__(self, term: Callable[[int], object]):
+        self.term = term
+        self.a = [None]
+        self.rows = [[_ONE]]
 
     def __call__(self, j: int):
         return self.term(j)
-
-
-@dataclass(frozen=True, kw_only=True)
-class _Library(CoeffSequence):
-    """1/(j + shift) (cycle) or 1/(j + shift)! (subset) with shift >= 0,
-    as made by ``harmonic`` and ``inv_factorial``: its triangle is read off
-    integer associated-Stirling rows instead of the convolution.  Equal,
-    and so sharing that triangle, whenever kind and shift agree."""
-
-    term: Callable[[int], object] = field(compare=False)
-    kind: str
-    shift: int
-
-
-def harmonic(shift: int = 0) -> CoeffSequence:
-    """The sequence 1/(j + shift) for j = 1, 2, ..."""
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    return _Library(term=lambda j: Fraction(1, j + shift),
-                    kind="cycle", shift=shift)
-
-
-def _inv_factorial_prev(j: int) -> Fraction:
-    return Fraction(1, factorial(j - 1))
-
-
-def inv_factorial(shift: int = 0) -> CoeffSequence:
-    """The sequence 1/(j + shift)! for j = 1, 2, ...; shift >= -1 allowed."""
-    if shift < -1:
-        raise ValueError("shift must be at least -1")
-    if shift == -1:
-        return CoeffSequence(_inv_factorial_prev)
-    return _Library(term=lambda j: Fraction(1, factorial(j + shift)),
-                    kind="subset", shift=shift)
-
-
-def convolution(seq: CoeffSequence) -> CoeffSequence:
-    """The same terms as a new plain sequence, equal to no other, so its
-    triangle is always built afresh by the ring-generic convolution: the
-    independent side of the checks on the integer route."""
-    return CoeffSequence(lambda j: seq(j))
-
-
-class _PowerTable:
-    """Triangle A(m, kk) for one sequence, grown incrementally.
-
-    rows[kk][m] holds A(m, kk).  Extending the degree reuses previous rows:
-    the truncated convolution at degree m only reads lower-degree entries.
-    """
-
-    __slots__ = ("seq", "a", "rows")
-
-    def __init__(self, seq: CoeffSequence):
-        self.seq = seq
-        self.a = [None]
-        self.rows = [[_ONE]]
 
     def _conv(self, prev, m: int, kk: int):
         acc = None
@@ -114,10 +63,15 @@ class _PowerTable:
         return acc if acc is not None else _ZERO
 
     def value(self, n: int, k: int):
+        """A(n, k) for n >= k (``demoivre`` settles the other cases).
+
+        Extending the degree reuses previous rows: the truncated
+        convolution at degree m only reads lower-degree entries.
+        """
         old_n = len(self.rows[0]) - 1
         if n > old_n:
             while len(self.a) <= n:
-                self.a.append(self.seq(len(self.a)))
+                self.a.append(self.term(len(self.a)))
             self.rows[0].extend([_ZERO] * (n - old_n))
             for kk in range(1, len(self.rows)):
                 prev, row = self.rows[kk - 1], self.rows[kk]
@@ -131,21 +85,25 @@ class _PowerTable:
         return self.rows[k][n]
 
 
-class _AssociatedTable:
-    """Triangle A(m, k) = k!/(m + s k)! T_s(m, k) of a library sequence.
+@lru_cache(maxsize=16)
+def _library_rows(kind: str, shift: int) -> list:
+    """The rows of A(m, k) shared by every library sequence of one kind and
+    shift: rows[m][k] holds A(m, k)."""
+    return []
 
-    rows[m][k] holds A(m, k); each row is made from the integer row
-    ``combinat.associated_row(kind, s, m)`` when first needed.
-    """
 
-    __slots__ = ("kind", "shift", "rows")
+class _Library(CoeffSequence):
+    """1/(j + shift) (cycle) or 1/(j + shift)! (subset) with shift >= 0,
+    as made by ``harmonic`` and ``inv_factorial``.  Its triangle
+    A(m, k) = k!/(m + s k)! T_s(m, k) is read off the integer rows
+    ``combinat.associated_row(kind, s, m)`` instead of the convolution,
+    into rows shared per (kind, shift) and looked up on every query."""
 
-    def __init__(self, seq: _Library):
-        self.kind, self.shift = seq.kind, seq.shift
-        self.rows = []
+    def __init__(self, term: Callable[[int], object], kind: str, shift: int):
+        self.term, self.kind, self.shift = term, kind, shift
 
     def value(self, n: int, k: int):
-        rows, s = self.rows, self.shift
+        rows, s = _library_rows(self.kind, self.shift), self.shift
         while len(rows) <= n:
             m = len(rows)
             rows.append([Fraction(factorial(kk) * t, factorial(m + s * kk))
@@ -154,15 +112,39 @@ class _AssociatedTable:
         return rows[n][k]
 
 
-_TABLES: dict[CoeffSequence, object] = {}
+def harmonic(shift: int = 0) -> CoeffSequence:
+    """The sequence 1/(j + shift) for j = 1, 2, ..."""
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    return _Library(lambda j: Fraction(1, j + shift), "cycle", shift)
+
+
+def inv_factorial(shift: int = 0) -> CoeffSequence:
+    """The sequence 1/(j + shift)! for j = 1, 2, ...; shift >= -1 allowed.
+
+    shift = -1 is not a library sequence: each call makes a new sequence
+    with a triangle of its own."""
+    if shift < -1:
+        raise ValueError("shift must be at least -1")
+    if shift == -1:
+        return CoeffSequence(lambda j: Fraction(1, factorial(j - 1)))
+    return _Library(lambda j: Fraction(1, factorial(j + shift)),
+                    "subset", shift)
+
+
+def convolution(seq: CoeffSequence) -> CoeffSequence:
+    """The same terms as a new plain sequence, so its triangle is built
+    afresh by the ring-generic convolution on every call: the independent
+    side of the checks on the integer route."""
+    return CoeffSequence(seq.term)
 
 
 def clear_caches() -> None:
     """Drop every memo in the package (mainly for benchmarks and tests):
-    the triangles, every ``lru_cache`` of every loaded ``ramasym`` module,
-    the Stirling and Eulerian rows past their seed rows, and the
-    associated-Stirling rows."""
-    _TABLES.clear()
+    every ``lru_cache`` of every loaded ``ramasym`` module, among them the
+    library triangles' rows, the Stirling and Eulerian rows past their
+    seed rows, and the associated-Stirling rows.  The triangle of any
+    other sequence lives on that sequence and is not touched."""
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == __package__:
             for obj in vars(mod).values():
@@ -174,25 +156,19 @@ def clear_caches() -> None:
     combinat._ASSOCIATED.clear()
 
 
-def _table(seq: CoeffSequence):
-    """The memoized triangle of ``seq``: ``.value(n, k)`` is A(n, k) for
-    n >= k (``demoivre`` settles the other cases first)."""
-    tab = _TABLES.get(seq)
-    if tab is None:
-        make = _AssociatedTable if isinstance(seq, _Library) else _PowerTable
-        tab = _TABLES[seq] = make(seq)
-    return tab
-
-
 def demoivre(n: int, k: int, seq: CoeffSequence):
     """A(n, k; a): the x^n coefficient of (a_1 x + a_2 x^2 + ...)^k."""
+    if not isinstance(seq, CoeffSequence):
+        raise TypeError(f"expected a CoeffSequence, not "
+                        f"{type(seq).__name__}; wrap a term function "
+                        f"as CoeffSequence(term)")
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     if k == 0:
         return _ONE if n == 0 else _ZERO
     if n < k:
         return _ZERO
-    return _table(seq).value(n, k)
+    return seq.value(n, k)
 
 
 def _compositions(total: int, parts: int):

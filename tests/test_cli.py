@@ -81,6 +81,12 @@ class TestCoeff:
         code, _, err = run(capsys, "coeff", "rho", "--r", "-2")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("r,terms", [("0", "0"), ("2", "-3")])
+    def test_taylor_section_under_one_term_exits_one(self, capsys, r, terms):
+        code, out, err = run(capsys, "coeff", "U", "--r", r, "--mode",
+                             "taylor", "--taylor-terms", terms)
+        assert code == 1 and out == "" and "taylor_terms" in err
+
     @pytest.mark.parametrize("family", ["psi", "tau"])
     def test_plain_only_family_rejects_other_modes(self, capsys, family):
         code, out, err = run(capsys, "coeff", family, "--r", "1",
@@ -219,6 +225,15 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert code == 0 and data["passed"] == data["total"] == 1
         assert data["results"][0]["ok"] is True
+
+    @pytest.mark.parametrize("suite", ["regions", "convergence"])
+    def test_max_r_on_a_suite_that_ignores_it_is_a_usage_error(
+            self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--max-r", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--max-r" in err
 
     def test_identities_sorted_by_item(self, capsys):
         code, out, _ = run(capsys, "verify", "identities", "--max-r", "6")

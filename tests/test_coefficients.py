@@ -1,5 +1,7 @@
 """Coefficient families: frozen values, recurrences, duals, saddle engine."""
 
+import gc
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -11,7 +13,6 @@ from mpmath import mp
 from ramasym.coefficients import (SaddleData, U_coeff, alpha_s, beta,
                                   check_conjecture, gamma_coeff, gamma_zero,
                                   psi, psi_zero, rho, rho_zero, tau, tau_zero)
-from ramasym.demoivre import _TABLES
 from ramasym.numcore import GaussianRational
 from ramasym.polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
 
@@ -182,8 +183,10 @@ class TestUModes:
                 assert tay.num.coeff(j)(Fraction(0)) == exact[j](Fraction(0))
 
     def test_taylor_mode_needs_terms(self):
-        with pytest.raises(ValueError):
-            U_coeff(2, "taylor")
+        # a section of fewer than one term is refused, not cut to one
+        for r, terms in ((2, None), (0, 0), (2, -3)):
+            with pytest.raises(ValueError, match="taylor_terms"):
+                U_coeff(r, "taylor", taylor_terms=terms)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -262,16 +265,25 @@ class TestSaddle:
         return SaddleData(mu=1, a=Fraction(1), p=p, q=lambda j: Fraction(1))
 
     def test_different_phases_keep_their_own_alpha(self):
-        before = len(_TABLES)
         ones = self._data(lambda j: Fraction(1))
         rising = self._data(lambda j: Fraction(j + 1))
         assert alpha_s(ones, 3).factor == -1
         assert alpha_s(rising, 3).factor == -35
-        assert len(_TABLES) == before + 2
+        assert ones._ratio.rows is not rising._ratio.rows
 
     def test_one_triangle_per_data_object(self):
         data = self._beta_data()
-        before = len(_TABLES)
+        ratio = data._ratio
+        rows = ratio.rows
         for s in range(9):
             alpha_s(data, s)
-        assert len(_TABLES) == before + 1
+            assert data._ratio is ratio and ratio.rows is rows
+        assert len(rows) == 9 and len(rows[0]) == 9
+
+    def test_ratio_sequence_is_freed_with_its_data(self):
+        data = self._data(lambda j: Fraction(j + 1))
+        alpha_s(data, 8)
+        ratio = weakref.ref(data._ratio)
+        del data
+        gc.collect()
+        assert ratio() is None

@@ -17,9 +17,9 @@ from ramasym.coefficients import U_coeff, psi, psi_zero, rho, rho_zero
 from ramasym.combinat import (enumerate_oracle, eulerian2, stirling,
                               stirling_associated)
 from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
-                              _TABLES, _AssociatedTable, _PowerTable, _table,
-                              clear_caches, convolution, demoivre, harmonic,
-                              inv_factorial, special_closed_forms, strip_r)
+                              _Library, _library_rows, clear_caches,
+                              convolution, demoivre, harmonic, inv_factorial,
+                              special_closed_forms, strip_r)
 
 fracs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
@@ -73,6 +73,14 @@ class TestDeMoivreBasics:
         with pytest.raises(ValueError):
             demoivre(-1, 0, harmonic())
 
+    def test_bare_callable_rejected(self):
+        # a term function has no triangle to grow: wrap it first
+        with pytest.raises(TypeError, match="CoeffSequence"):
+            demoivre(3, 2, lambda j: 1)
+        with pytest.raises(TypeError, match="CoeffSequence"):
+            strip_r(3, 2, 1, lambda j: 1)
+        assert demoivre(3, 2, CoeffSequence(lambda j: 1)) == 2
+
 
 class TestAgainstBruteForce:
     @given(st.lists(fracs, min_size=1, max_size=6),
@@ -98,10 +106,18 @@ class TestIntegerRoute:
 
     def test_routing(self):
         for s in range(3):
-            assert isinstance(_table(harmonic(s)), _AssociatedTable)
-            assert isinstance(_table(inv_factorial(s)), _AssociatedTable)
-            assert isinstance(_table(convolution(harmonic(s))), _PowerTable)
-        assert isinstance(_table(inv_factorial(-1)), _PowerTable)
+            assert isinstance(harmonic(s), _Library)
+            assert isinstance(inv_factorial(s), _Library)
+            assert not isinstance(convolution(harmonic(s)), _Library)
+        assert not isinstance(inv_factorial(-1), _Library)
+        # the integer route fills the shared rows, not the sequence's own
+        clear_caches()
+        demoivre(6, 2, harmonic(1))
+        assert len(_library_rows("cycle", 1)) == 7
+        conv = convolution(harmonic(1))
+        demoivre(6, 2, conv)
+        assert len(conv.rows[0]) == 7
+        assert len(_library_rows("cycle", 1)) == 7
 
     @given(st.sampled_from([harmonic, inv_factorial]), st.integers(0, 4),
            st.integers(0, 40), st.integers(0, 40))
@@ -177,24 +193,36 @@ class TestShiftedFactories:
 
 
 class TestSequenceKeys:
-    """Each sequence is its own memo key: equal sequences share one
-    triangle, and no other sequence reaches it."""
+    """Each sequence owns its triangle: library sequences of one kind and
+    shift share one row store, and every other sequence keeps its own."""
 
     def test_library_sequences_share_one_triangle(self):
-        for factory in (harmonic, inv_factorial):
+        for factory, kind in ((harmonic, "cycle"), (inv_factorial, "subset")):
             for s in range(3):
-                assert factory(s) == factory(s)
-                assert _table(factory(s)) is _table(factory(s))
-        assert _table(inv_factorial(-1)) is _table(inv_factorial(-1))
-        assert harmonic(1) != inv_factorial(1)
-        assert harmonic(1) != harmonic(2)
+                first, second = factory(s), factory(s)
+                assert first != second
+                demoivre(5, 2, first)
+                rows = _library_rows(kind, s)
+                assert len(rows) >= 6
+                demoivre(9, 2, second)
+                assert _library_rows(kind, s) is rows and len(rows) >= 10
+        assert _library_rows("cycle", 1) is not _library_rows("subset", 1)
+        assert _library_rows("cycle", 1) is not _library_rows("cycle", 2)
 
     def test_convolution_is_a_sequence_of_its_own(self):
         seq = harmonic(2)
-        conv = convolution(seq)
-        assert conv != seq and conv != convolution(seq)
-        assert _table(conv) is _table(conv)
-        assert _table(conv) is not _table(seq)
+        conv, again = convolution(seq), convolution(seq)
+        assert conv != seq and conv != again
+        demoivre(6, 3, conv)
+        assert len(conv.rows) == 4 and len(conv.rows[0]) == 7
+        assert again.rows == [[1]]
+        # so does a user sequence, and a fresh inv_factorial(-1)
+        user = CoeffSequence(lambda j: Fraction(j))
+        demoivre(4, 2, user)
+        assert user.rows is not conv.rows and len(user.rows[0]) == 5
+        prev = inv_factorial(-1)
+        demoivre(3, 1, prev)
+        assert inv_factorial(-1).rows == [[1]]
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_different_terms_keep_their_own_values(self, order):
@@ -203,12 +231,10 @@ class TestSequenceKeys:
                 CoeffSequence(lambda j: Fraction(2)))
         got = {i: demoivre(3, 2, seqs[i]) for i in order}
         assert got == {0: 2, 1: 8}
-        assert all(seq in _TABLES for seq in seqs)
 
     def test_no_user_sequence_changes_rho(self):
         user = CoeffSequence(lambda j: Fraction(j))
-        demoivre(12, 6, user)
-        assert user in _TABLES
+        assert demoivre(12, 6, user) == brute_force(12, 6, range(1, 13))
         assert str(rho.__wrapped__(1)) == "4/135 - 1/3*v^2 - 1/3*v^3"
 
 
@@ -250,10 +276,12 @@ def test_clear_caches_preserves_results():
     before = compute()
     caches = _package_lru_caches()
     assert any(c.cache_info().currsize for c in caches)
+    assert _library_rows.cache_info().currsize
     assert combinat._ASSOCIATED
     clear_caches()
     for c in caches:
         assert c.cache_info().currsize == 0, c
+    assert _library_rows.cache_info().currsize == 0
     assert combinat._STIRLING == {"cycle": [[1]], "subset": [[1]]}
     assert combinat._EULERIAN2 == [[1]]
     assert combinat._ASSOCIATED == {}
@@ -262,13 +290,14 @@ def test_clear_caches_preserves_results():
 
 def test_import_leaves_every_memo_empty():
     # a cold benchmark operation counts on this: importing the package,
-    # the ledger and the CLI fills no lru_cache and no triangle
+    # the ledger and the CLI fills no lru_cache and no library rows
     code = ("import sys, ramasym, ramasym.checks, ramasym.cli\n"
             "full = [f'{name}.{key}' for name, mod in sys.modules.items()\n"
             "        if name.startswith('ramasym')\n"
             "        for key, obj in vars(mod).items()\n"
             "        if hasattr(obj, 'cache_info') and obj.cache_info().currsize]\n"
-            "print(full, len(sys.modules['ramasym.demoivre']._TABLES))\n")
+            "rows = sys.modules['ramasym.demoivre']._library_rows\n"
+            "print(full, rows.cache_info().currsize)\n")
     src = str(Path(ramasym.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

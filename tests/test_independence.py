@@ -1,0 +1,87 @@
+"""The cross-checks stay independent of what they check.
+
+The tests compare the oracles and the expansions against mpmath's special
+functions, and the benchmark's reference implementation lives in
+``perfbench``.  Neither may leak into the package: a route checked against
+itself shows nothing.  These rules are read off the source with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ramasym
+
+SRC = Path(ramasym.__file__).resolve().parent
+
+# the mpmath references tests/test_oracle.py and tests/test_asymptotics.py
+# compare against
+REFERENCES = {"ei", "e1", "expint", "gammainc", "lambertw"}
+
+
+def imported_modules(tree):
+    """Top-level names of every module an import statement reaches."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.partition(".")[0]
+            for alias in node.names:
+                yield alias.name
+
+
+def mpmath_names(tree):
+    """Every name a module could reach an mpmath function by: attributes
+    (``mp.ei``), names imported from mpmath, and string constants
+    (``getattr(mp, "ei")``).  A local variable is not one of them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").partition(".")[0] == "mpmath":
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_perfbench(path):
+    assert "perfbench" not in set(imported_modules(_tree(path)))
+
+
+@pytest.mark.parametrize("name", ["oracle.py", "asymptotics.py"])
+def test_no_mpmath_reference_in_the_routes_it_checks(name):
+    assert not REFERENCES & set(mpmath_names(_tree(SRC / name)))
+
+
+@pytest.mark.parametrize("code", [
+    "import perfbench.reference",
+    "from perfbench import reference",
+    "from perfbench.reference import rho_at",
+])
+def test_a_perfbench_import_is_seen(code):
+    assert "perfbench" in set(imported_modules(ast.parse(code)))
+
+
+@pytest.mark.parametrize("code", [
+    "mp.ei(x)",
+    "mpmath.lambertw(z)",
+    "from mpmath import expint",
+    "from mpmath import gammainc as g",
+    "getattr(mp, 'e1')(x)",
+])
+def test_a_reference_is_seen(code):
+    assert REFERENCES & set(mpmath_names(ast.parse(code)))
+
+
+def test_a_local_variable_is_not_a_reference():
+    assert not REFERENCES & set(mpmath_names(ast.parse("ei = f(n)\nei")))
