@@ -50,7 +50,7 @@ def _all_equal(item: str, pairs: Iterable, describe: str) -> CheckResult:
             return CheckResult(item, False,
                                f"{describe} mismatch at {where}: "
                                f"{got} != {want}")
-    return CheckResult(item, True, f"{describe}; {count} cases")
+    return CheckResult(item, count > 0, f"{describe}; {count} cases")
 
 
 # ---------------------------------------------------------------------------

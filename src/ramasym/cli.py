@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the verification ledger")
     pv.add_argument("suite", choices=tuple(_SUITES))
     pv.add_argument("--max-r", type=int, default=None,
-                    help="index range override for identities, "
-                         "conjecture and all (conjecture default "
+                    help="index range of identities and conjecture; all "
+                         "reads it as the conjecture range (default "
                          f"{checks._CONJECTURE_MAX_R})")
     pv.set_defaults(fn=cmd_verify)
 
@@ -353,6 +353,9 @@ def main(argv=None) -> int:
             and args.suite not in _MAX_R_SUITES:
         parser.error(f"argument --max-r: verify {args.suite} does not "
                      f"read it")
+    if args.command == "coeff" and args.taylor_terms is not None \
+            and (args.family, args.mode) != ("U", "taylor"):
+        parser.error("argument --taylor-terms: only U --mode taylor reads it")
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, PrecisionError,

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from math import factorial
 from typing import Callable, Optional
 
-from .combinat import binomial, double_factorial
+from .combinat import binomial, double_factorial, eulerian2, stirling
 from .demoivre import CoeffSequence, harmonic, inv_factorial
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly, \
     w_minus_1_pow
@@ -85,26 +85,44 @@ def _double_factorial_weight(base: int) -> Callable[[int], Fraction]:
                               (-1) ** k * factorial(k))
 
 
-def _rho_sum(r: int, mode: str, at_zero: bool = False) -> PolyV:
+# Memos keyed by value: always called positionally, with every argument.
+
+@lru_cache(maxsize=None)
+def _rho_sum(r: int, mode: str, at_zero: bool) -> PolyV:
     total = _weighted_sum(mode, 2 * r + 1, _double_factorial_weight(2 * r),
                           at_zero)
     return (1 if mode == "plain" and r == 0 else 0) - total
 
 
 @lru_cache(maxsize=None)
-def beta(s: int, mode: str = "plain") -> Sqrt2Scaled:
-    """Raw saddle coefficient of index s, an exact multiple of sqrt(2)^(s-1).
+def _gamma_sum(r: int, mode: str, at_zero: bool) -> PolyV:
+    return _weighted_sum(mode, 2 * r, _double_factorial_weight(2 * r - 1),
+                         at_zero)
 
-    beta(s) carries the half-integer power 2^((s-1)/2) explicitly; the
-    polynomial part is rational.  beta(1).to_polyv() == 2/3.
-    """
+
+@lru_cache(maxsize=None)
+def _tau_sum(r: int, at_zero: bool) -> PolyV:
+    return -_weighted_sum("plain", 2 * r + 1,
+                          _double_factorial_weight(2 * r - 1), at_zero)
+
+
+@lru_cache(maxsize=None)
+def _beta(s: int, mode: str) -> Sqrt2Scaled:
     top = Fraction(-s - 1, 2)
     total = _weighted_sum(mode, s,
                           lambda k: Fraction(2) ** k * binomial(top, k))
     return Sqrt2Scaled(total, s - 1)
 
 
-@lru_cache(maxsize=None)
+def beta(s: int, mode: str = "plain") -> Sqrt2Scaled:
+    """Raw saddle coefficient of index s, an exact multiple of sqrt(2)^(s-1).
+
+    beta(s) carries the half-integer power 2^((s-1)/2) explicitly; the
+    polynomial part is rational.  beta(1).to_polyv() == 2/3.
+    """
+    return _beta(s, mode)
+
+
 def rho(r: int, mode: str = "plain") -> PolyV:
     """Correction-term coefficient rho_r(v), a polynomial of degree 2r+1.
 
@@ -112,24 +130,21 @@ def rho(r: int, mode: str = "plain") -> PolyV:
     The tilde mode is the exponential-weight companion with
     rho_r = rho~_r + v * rho~_{r-1}.
     """
-    return _rho_sum(r, mode)
+    return _rho_sum(r, mode, False)
 
 
-@lru_cache(maxsize=None)
 def gamma_coeff(r: int, mode: str = "plain") -> PolyV:
     """Stirling-series coefficient gamma_r(v), a polynomial of degree 2r.
 
     gamma_coeff(0) == 1, gamma_coeff(1)(0) == 1/12,
     gamma_coeff(2)(0) == 1/288.  Same plain/tilde pairing as rho.
     """
-    return _weighted_sum(mode, 2 * r, _double_factorial_weight(2 * r - 1))
+    return _gamma_sum(r, mode, False)
 
 
-@lru_cache(maxsize=None)
 def tau(r: int) -> PolyV:
     """Companion coefficient tau_r(v) driving the psi family; tau(0) = -1/3 - v."""
-    return -_weighted_sum("plain", 2 * r + 1,
-                          _double_factorial_weight(2 * r - 1))
+    return _tau_sum(r, False)
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +161,8 @@ def _gamma_reciprocal(m: int, at_zero: bool):
                 for j in range(1, m + 1))
 
 
-def _psi_sum(r: int, at_zero: bool = False):
+@lru_cache(maxsize=None)
+def _psi_sum(r: int, at_zero: bool):
     """psi_r = sum_m tau_(r-m) I_m, by series inversion of the gamma series."""
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -155,7 +171,6 @@ def _psi_sum(r: int, at_zero: bool = False):
                for m in range(r + 1))
 
 
-@lru_cache(maxsize=None)
 def psi(r: int) -> PolyV:
     """Exponential-integral companion coefficient psi_r(v).
 
@@ -163,7 +178,7 @@ def psi(r: int) -> PolyV:
     are the coefficients of 1/(1 + gamma_1 x + gamma_2 x^2 + ...) over the
     polynomial ring in v.  psi(0) == -1/3 - v and psi(1)(0) == 4/135.
     """
-    return _psi_sum(r)
+    return _psi_sum(r, False)
 
 
 # ---------------------------------------------------------------------------
@@ -171,30 +186,23 @@ def psi(r: int) -> PolyV:
 # conjecture fast path)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def rho_zero(r: int, mode: str = "plain") -> Fraction:
     """rho_r(0) by its single-sum form over 1/(j+2) (plain) or 1/(j+2)! (tilde)."""
-    return _rho_sum(r, mode, at_zero=True).coeff(0)
+    return _rho_sum(r, mode, True).coeff(0)
 
 
-@lru_cache(maxsize=None)
 def gamma_zero(r: int, mode: str = "plain") -> Fraction:
     """gamma_r(0) by its single-sum form; both modes must agree."""
-    return _weighted_sum(mode, 2 * r, _double_factorial_weight(2 * r - 1),
-                         at_zero=True).coeff(0)
+    return _gamma_sum(r, mode, True).coeff(0)
 
 
-@lru_cache(maxsize=None)
 def tau_zero(r: int) -> Fraction:
-    return -_weighted_sum("plain", 2 * r + 1,
-                          _double_factorial_weight(2 * r - 1),
-                          at_zero=True).coeff(0)
+    return _tau_sum(r, True).coeff(0)
 
 
-@lru_cache(maxsize=None)
 def psi_zero(r: int) -> Fraction:
     """psi_r(0) via the same inversion as psi, specialized to v = 0."""
-    return _psi_sum(r, at_zero=True)
+    return _psi_sum(r, True)
 
 
 @dataclass(frozen=True)
@@ -233,7 +241,6 @@ _U_MODES = ("plain", "tilde", "vzero_harmonic", "vzero_factorial",
             "eulerian", "taylor")
 
 
-@lru_cache(maxsize=None)
 def U_coeff(r: int, mode: str = "plain",
             taylor_terms: Optional[int] = None) -> RationalFnW:
     """Interior expansion coefficient U_r(w; v) = N(w, v)/(w-1)^(2r+1).
@@ -246,11 +253,19 @@ def U_coeff(r: int, mode: str = "plain",
       eulerian        v = 0 numerator read off second-order Eulerian numbers
       taylor          v = 0 Taylor section at w = 0 (needs taylor_terms >= 1);
                       agrees with the others only through that order
+    taylor_terms is refused by every other mode.
     """
+    return _U_coeff(r, mode, taylor_terms)
+
+
+@lru_cache(maxsize=None)
+def _U_coeff(r: int, mode: str, taylor_terms: Optional[int]) -> RationalFnW:
     if mode not in _U_MODES:
         raise ValueError(f"mode must be one of {_U_MODES}")
     if r < 0:
         raise ValueError("r must be nonnegative")
+    if taylor_terms is not None and mode != "taylor":
+        raise ValueError(f"taylor_terms does not apply to mode {mode}")
 
     if mode in ("plain", "tilde", "vzero_harmonic", "vzero_factorial"):
         # the families' sum over 1/(j+1) or 1/(j+1)!, with the PolyW weight
@@ -271,7 +286,6 @@ def U_coeff(r: int, mode: str = "plain",
         return RationalFnW(num, 2 * r + 1)
 
     if mode == "eulerian":
-        from .combinat import eulerian2
         num = w_minus_1_pow(2 * r + 1) if r == 0 else PolyW()
         for j in range(max(r, 1)):
             E = eulerian2(r, j)
@@ -281,7 +295,6 @@ def U_coeff(r: int, mode: str = "plain",
         return RationalFnW(num, 2 * r + 1)
 
     # taylor
-    from .combinat import stirling
     if taylor_terms is None or taylor_terms < 1:
         raise ValueError("taylor mode needs taylor_terms >= 1")
     coeffs = [PolyV.const(1 if r == 0 else 0)]

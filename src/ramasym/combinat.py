@@ -1,6 +1,6 @@
 """Stirling numbers, their r-associated refinements, and related counts.
 
-All tables are built by the classical recurrences and cached module-wide.
+Every table is a row list held by an ``lru_cache``, grown by its recurrence.
 ``enumerate_oracle`` is deliberately dumb: it walks every set partition of
 an n-element set and counts, so the closed-form routes have something
 independent to be checked against.
@@ -41,16 +41,14 @@ def double_factorial(n: int) -> int:
     return factorial(n) // (factorial(h) << h) if h > 0 else 1
 
 
-_STIRLING: dict[str, list[list[int]]] = {k: [[1]] for k in _KINDS}
-
-
 def stirling(kind: str, n: int, k: int) -> int:
     """Stirling cycle or subset number.
 
     cycle:  permutations of n elements with k cycles,
-            rows via  c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k).
-    subset: partitions of an n-set into k blocks,
-            rows via  S(n, k) = S(n-1, k-1) + k S(n-1, k).
+    subset: partitions of an n-set into k blocks.
+    Read off ``associated_row(kind, 0, n)``, whose recurrences at s = 0 are
+    the classical  c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k)  and
+    S(n, k) = S(n-1, k-1) + k S(n-1, k).
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
@@ -58,19 +56,13 @@ def stirling(kind: str, n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return 0
-    rows = _STIRLING[kind]
-    while len(rows) <= n:
-        nn = len(rows)
-        prev = rows[-1]
-        row = [0] * (nn + 1)
-        for kk in range(1, nn + 1):
-            high = prev[kk] if kk < len(prev) else 0
-            row[kk] = prev[kk - 1] + (kk if kind == "subset" else nn - 1) * high
-        rows.append(row)
-    return rows[n][k]
+    return associated_row(kind, 0, n)[k]
 
 
-_EULERIAN2: list[list[int]] = [[1]]
+@lru_cache(maxsize=None)
+def _eulerian2_rows() -> list:
+    """The rows of E2(n, k) built so far, grown by ``eulerian2``."""
+    return [[1]]
 
 
 def eulerian2(n: int, k: int) -> int:
@@ -84,13 +76,12 @@ def eulerian2(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if k < 0 or (n >= 1 and k >= n) or (n == 0 and k > 0):
         return 0
-    rows = _EULERIAN2
+    rows = _eulerian2_rows()
     while len(rows) <= n:
         nn = len(rows)
         prev = rows[-1]
-        width = max(nn, 1)
-        row = [0] * width
-        for kk in range(width):
+        row = [0] * nn
+        for kk in range(nn):
             a = prev[kk] if kk < len(prev) else 0
             b = prev[kk - 1] if 0 <= kk - 1 < len(prev) else 0
             row[kk] = (kk + 1) * a + (2 * nn - 1 - kk) * b
@@ -98,9 +89,11 @@ def eulerian2(n: int, k: int) -> int:
     return rows[n][k]
 
 
-# (kind, s) -> [m, row]: the newest row T_s(m, 0..m) of each library
-# triangle, where T_s(m, k) counts the objects of size n = m + s k.
-_ASSOCIATED: dict[tuple[str, int], list] = {}
+@lru_cache(maxsize=16)
+def _associated_rows(kind: str, s: int) -> list:
+    """The rows T_s(m, 0..m) of one triangle built so far, grown by
+    ``associated_row``."""
+    return [[1]]
 
 
 def associated_row(kind: str, s: int, m: int) -> list[int]:
@@ -112,15 +105,11 @@ def associated_row(kind: str, s: int, m: int) -> list[int]:
     (Comtet, Advanced Combinatorics, 1974).  Rows grow in m by
         cycle:  T(m, k) = (n-1) T(m-1, k) + (n-1)...(n-s) T(m-1, k-1),
         subset: T(m, k) = k T(m-1, k) + C(n-1, s) T(m-1, k-1),
-    with n = m + s k.  Each reads only row m-1, so only the newest row is
-    kept; asking for an earlier row starts again from row 0.
+    with n = m + s k; s = 0 gives the Stirling numbers.
     """
-    state = _ASSOCIATED.get((kind, s))
-    if state is None or state[0] > m:
-        state = _ASSOCIATED[(kind, s)] = [0, [1]]
-    mm, row = state
-    while mm < m:
-        mm += 1
+    rows = _associated_rows(kind, s)
+    while len(rows) <= m:
+        mm, row = len(rows), rows[-1]
         new = [0] * (mm + 1)
         for k in range(1, mm + 1):
             n = mm + s * k
@@ -129,9 +118,8 @@ def associated_row(kind: str, s: int, m: int) -> list[int]:
                 new[k] = (n - 1) * keep + perm(n - 1, s) * row[k - 1]
             else:
                 new[k] = k * keep + comb(n - 1, s) * row[k - 1]
-        row = new
-    state[0], state[1] = mm, row
-    return row
+        rows.append(new)
+    return rows[m]
 
 
 def stirling_associated(kind: str, n: int, k: int, r: int) -> int:

@@ -27,7 +27,6 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable
 
-from . import combinat
 from .combinat import associated_row, binomial, eulerian2, stirling
 
 _ZERO = Fraction(0)
@@ -141,19 +140,15 @@ def convolution(seq: CoeffSequence) -> CoeffSequence:
 
 def clear_caches() -> None:
     """Drop every memo in the package (mainly for benchmarks and tests):
-    every ``lru_cache`` of every loaded ``ramasym`` module, among them the
-    library triangles' rows, the Stirling and Eulerian rows past their
-    seed rows, and the associated-Stirling rows.  The triangle of any
-    other sequence lives on that sequence and is not touched."""
+    every memo is an ``lru_cache``, the library triangles' rows and the
+    Stirling, Eulerian and associated-Stirling rows among them, and this
+    clears each one of every loaded ``ramasym`` module.  The triangle of
+    any other sequence lives on that sequence and is not touched."""
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == __package__:
             for obj in vars(mod).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-    for rows in combinat._STIRLING.values():
-        del rows[1:]
-    del combinat._EULERIAN2[1:]
-    combinat._ASSOCIATED.clear()
 
 
 def demoivre(n: int, k: int, seq: CoeffSequence):

@@ -87,6 +87,20 @@ class TestCoeff:
                              "taylor", "--taylor-terms", terms)
         assert code == 1 and out == "" and "taylor_terms" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["U", "--r", "1", "--mode", "plain"],
+        ["U", "--r", "1"],
+        ["rho", "--r", "1"],
+        ["rho", "--r", "1", "--mode", "taylor"],
+    ], ids=["U-plain", "U-default", "rho", "rho-taylor"])
+    def test_taylor_terms_outside_taylor_mode_is_a_usage_error(
+            self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeff", *argv, "--taylor-terms", "5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--taylor-terms" in err
+
     @pytest.mark.parametrize("family", ["psi", "tau"])
     def test_plain_only_family_rejects_other_modes(self, capsys, family):
         code, out, err = run(capsys, "coeff", family, "--r", "1",
@@ -234,6 +248,16 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "--max-r" in err
+
+    def test_ledger_line_without_cases_fails(self, capsys):
+        # at max_r = -1 the dual-form ranges are empty: a line that
+        # compared nothing must not pass
+        code, out, _ = run(capsys, "verify", "identities", "--max-r", "-1",
+                           "--format", "plain")
+        empty = [ln for ln in out.splitlines() if ln.endswith("; 0 cases")]
+        assert code == 1 and empty
+        assert all(ln.startswith("FAIL ") for ln in empty)
+        assert "FAIL dual-rho-recurrence:" in out
 
     def test_identities_sorted_by_item(self, capsys):
         code, out, _ = run(capsys, "verify", "identities", "--max-r", "6")

@@ -188,6 +188,12 @@ class TestUModes:
             with pytest.raises(ValueError, match="taylor_terms"):
                 U_coeff(r, "taylor", taylor_terms=terms)
 
+    def test_taylor_terms_only_in_taylor_mode(self):
+        for mode in ("plain", "tilde", "vzero_harmonic", "vzero_factorial",
+                     "eulerian"):
+            with pytest.raises(ValueError, match="taylor_terms"):
+                U_coeff(1, mode, taylor_terms=5)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             U_coeff(2, "fancy")

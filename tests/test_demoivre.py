@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import ramasym
 from ramasym import combinat
-from ramasym.coefficients import U_coeff, psi, psi_zero, rho, rho_zero
+from ramasym.coefficients import (U_coeff, _rho_sum, beta, gamma_coeff,
+                                  gamma_zero, psi, psi_zero, rho, rho_zero,
+                                  tau, tau_zero)
 from ramasym.combinat import (enumerate_oracle, eulerian2, stirling,
                               stirling_associated)
 from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
@@ -235,7 +237,8 @@ class TestSequenceKeys:
     def test_no_user_sequence_changes_rho(self):
         user = CoeffSequence(lambda j: Fraction(j))
         assert demoivre(12, 6, user) == brute_force(12, 6, range(1, 13))
-        assert str(rho.__wrapped__(1)) == "4/135 - 1/3*v^2 - 1/3*v^3"
+        assert str(_rho_sum.__wrapped__(1, "plain", False)) \
+            == "4/135 - 1/3*v^2 - 1/3*v^3"
 
 
 class TestClosedForms:
@@ -276,16 +279,64 @@ def test_clear_caches_preserves_results():
     before = compute()
     caches = _package_lru_caches()
     assert any(c.cache_info().currsize for c in caches)
-    assert _library_rows.cache_info().currsize
-    assert combinat._ASSOCIATED
+    stores = (_library_rows, combinat._associated_rows,
+              combinat._eulerian2_rows)
+    assert all(store.cache_info().currsize for store in stores)
+    assert combinat._associated_rows("cycle", 0)[9][4] == before[6]
     clear_caches()
     for c in caches:
         assert c.cache_info().currsize == 0, c
-    assert _library_rows.cache_info().currsize == 0
-    assert combinat._STIRLING == {"cycle": [[1]], "subset": [[1]]}
-    assert combinat._EULERIAN2 == [[1]]
-    assert combinat._ASSOCIATED == {}
     assert compute() == before
+
+
+def _module_container_sizes():
+    return {f"{name}.{key}": len(obj)
+            for name, mod in list(sys.modules.items())
+            if name.startswith("ramasym")
+            for key, obj in vars(mod).items()
+            if not key.startswith("__") and isinstance(obj, (list, dict, set))}
+
+
+def test_every_memo_is_an_lru_cache():
+    # a memo kept in a module-level list, dict or set would escape the
+    # lru_cache loop of clear_caches; run every family and table, cold
+    clear_caches()
+    before = _module_container_sizes()
+    for r in range(4):
+        for mode in ("plain", "tilde"):
+            rho(r, mode), rho_zero(r, mode), beta(r, mode)
+            gamma_coeff(r, mode), gamma_zero(r, mode)
+        tau(r), tau_zero(r), psi(r), psi_zero(r)
+        for mode in ("plain", "tilde", "vzero_harmonic", "vzero_factorial",
+                     "eulerian"):
+            U_coeff(r, mode)
+        U_coeff(r, "taylor", 5)
+    for kind in ("cycle", "subset"):
+        stirling(kind, 14, 5), stirling_associated(kind, 14, 3, 3)
+    eulerian2(9, 4)
+    assert _module_container_sizes() == before
+
+
+def _memo_entries():
+    return sum(c.cache_info().currsize for c in _package_lru_caches())
+
+
+@pytest.mark.parametrize("first,spellings", [
+    (lambda: U_coeff(14), (lambda: U_coeff(14, "plain"),
+                           lambda: U_coeff(14, mode="plain"),
+                           lambda: U_coeff(14, "plain", None))),
+    (lambda: rho_zero(3), (lambda: rho_zero(3, "plain"),
+                           lambda: rho_zero(3, mode="plain"))),
+    (lambda: rho(3), (lambda: rho(3, "plain"),)),
+], ids=["U_coeff", "rho_zero", "rho"])
+def test_memos_are_keyed_by_value(first, spellings):
+    # one coefficient is one memo entry, however the call is written
+    clear_caches()
+    value = first()
+    entries = _memo_entries()
+    for spelling in spellings:
+        assert spelling() == value
+    assert _memo_entries() == entries
 
 
 def test_import_leaves_every_memo_empty():
