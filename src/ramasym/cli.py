@@ -79,7 +79,10 @@ def _coeff_value(args, x) -> str:
 
 
 def _coeff_record(args, r: int, x) -> dict:
-    """One --upto record: coefficient lists for the polynomial families."""
+    """One --upto record: the value at --v (and --w for U), else
+    coefficient lists for the polynomial families."""
+    if args.v is not None:
+        return {"r": r, "value": _coeff_value(args, x)}
     if isinstance(x, PolyV):
         return {"r": r, "polyV": x.coeff_strings()}
     if isinstance(x, Sqrt2Scaled):
@@ -283,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("rho", "gamma", "U", "tau", "psi", "beta"))
     pc.add_argument("--r", type=int, default=0, help="coefficient index")
     pc.add_argument("--upto", type=int, default=None,
-                    help="emit all indices 0..N as JSON records")
+                    help="emit all indices 0..N as JSON records, "
+                         "evaluated at --v (U: at --w)")
     pc.add_argument("--v", default=None,
                     help="evaluate at this rational v (default: symbolic)")
     pc.add_argument("--w", default=None,
@@ -353,6 +357,8 @@ def main(argv=None) -> int:
             and args.suite not in _MAX_R_SUITES:
         parser.error(f"argument --max-r: verify {args.suite} does not "
                      f"read it")
+    if args.command == "coeff" and args.upto is not None and args.upto < 0:
+        parser.error("argument --upto: must be nonnegative")
     if args.command == "coeff" and args.taylor_terms is not None \
             and (args.family, args.mode) != ("U", "taylor"):
         parser.error("argument --taylor-terms: only U --mode taylor reads it")

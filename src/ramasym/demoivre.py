@@ -11,19 +11,19 @@ its triangle of values and grows it as queries need it, so repeated
 queries on one sequence are cheap.
 
 The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) made by ``harmonic``
-and ``inv_factorial`` read their triangles off integer associated-Stirling
-rows (``combinat.associated_row``), shared by every sequence of one kind
-and shift.  Every other sequence takes truncated series convolution, row
-by row in k; its entries may live in any commutative ring that coerces
-ints and Fractions (exact rationals, polynomials, rational functions),
-since convolution only ever adds and multiplies.
+and ``inv_factorial`` keep no triangle: each value is read off the integer
+associated-Stirling rows (``combinat.associated_row``), the one store of
+every sequence of one kind and shift.  Every other sequence takes
+truncated series convolution, row by row in k; its entries may live in any
+commutative ring that coerces ints and Fractions (exact rationals,
+polynomials, rational functions), since convolution only ever adds and
+multiplies.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Callable
 
@@ -84,31 +84,19 @@ class CoeffSequence:
         return self.rows[k][n]
 
 
-@lru_cache(maxsize=16)
-def _library_rows(kind: str, shift: int) -> list:
-    """The rows of A(m, k) shared by every library sequence of one kind and
-    shift: rows[m][k] holds A(m, k)."""
-    return []
-
-
 class _Library(CoeffSequence):
     """1/(j + shift) (cycle) or 1/(j + shift)! (subset) with shift >= 0,
-    as made by ``harmonic`` and ``inv_factorial``.  Its triangle
-    A(m, k) = k!/(m + s k)! T_s(m, k) is read off the integer rows
-    ``combinat.associated_row(kind, s, m)`` instead of the convolution,
-    into rows shared per (kind, shift) and looked up on every query."""
+    as made by ``harmonic`` and ``inv_factorial``.  It has no triangle of
+    its own: each query reads A(m, k) = k!/(m + s k)! T_s(m, k) off the
+    integer rows ``combinat.associated_row(kind, s, m)``."""
 
     def __init__(self, term: Callable[[int], object], kind: str, shift: int):
         self.term, self.kind, self.shift = term, kind, shift
 
     def value(self, n: int, k: int):
-        rows, s = _library_rows(self.kind, self.shift), self.shift
-        while len(rows) <= n:
-            m = len(rows)
-            rows.append([Fraction(factorial(kk) * t, factorial(m + s * kk))
-                         for kk, t in enumerate(
-                             associated_row(self.kind, s, m))])
-        return rows[n][k]
+        s = self.shift
+        return Fraction(factorial(k) * associated_row(self.kind, s, n)[k],
+                        factorial(n + s * k))
 
 
 def harmonic(shift: int = 0) -> CoeffSequence:
@@ -140,10 +128,11 @@ def convolution(seq: CoeffSequence) -> CoeffSequence:
 
 def clear_caches() -> None:
     """Drop every memo in the package (mainly for benchmarks and tests):
-    every memo is an ``lru_cache``, the library triangles' rows and the
-    Stirling, Eulerian and associated-Stirling rows among them, and this
-    clears each one of every loaded ``ramasym`` module.  The triangle of
-    any other sequence lives on that sequence and is not touched."""
+    every memo is an ``lru_cache``, the Stirling, Eulerian and
+    associated-Stirling rows among them, and this clears each one of every
+    loaded ``ramasym`` module.  The library triangles are read off the
+    associated rows and have no store of their own; the triangle of any
+    other sequence lives on that sequence and is not touched."""
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == __package__:
             for obj in vars(mod).values():

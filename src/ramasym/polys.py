@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial
 
+from .combinat import stirling
 from .numcore import RingOps, format_rational
 
 
@@ -162,13 +163,13 @@ class PolyV(_Dense):
 
 @lru_cache(maxsize=None)
 def binomial_poly(m: int) -> PolyV:
-    """Binomial coefficient of v over m as a degree-m polynomial in v."""
+    """Binomial coefficient of v over m as a degree-m polynomial in v:
+    C(v, m) = v(v-1)...(v-m+1)/m! = sum_k (-1)^(m-k) c(m, k) v^k / m!,
+    with c the Stirling cycle numbers."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    p = PolyV([1])
-    for i in range(m):
-        p = p * PolyV([-i, 1])
-    return p * Fraction(1, factorial(m))
+    return PolyV([Fraction((-1) ** (m - k) * stirling("cycle", m, k),
+                           factorial(m)) for k in range(m + 1)])
 
 
 class PolyW(_Dense):

@@ -66,6 +66,29 @@ class TestCoeff:
             poly = PolyV([parse_rational(c) for c in rec["polyV"]])
             assert poly == gamma_coeff(rec["r"])
 
+    @pytest.mark.parametrize("family", ["rho", "gamma", "tau", "psi", "beta"])
+    def test_upto_evaluates_at_v(self, capsys, family):
+        code, out, _ = run(capsys, "coeff", family, "--upto", "2",
+                           "--v", "1/2")
+        records = json.loads(out)
+        single = [json.loads(run(capsys, "coeff", family, "--r", str(r),
+                                 "--v", "1/2")[1]) for r in range(3)]
+        assert code == 0 and records == [
+            {"r": r, "value": value} for r, value in enumerate(single)]
+
+    def test_upto_symbolic_ignores_v(self, capsys):
+        code, out, _ = run(capsys, "coeff", "rho", "--upto", "0",
+                           "--v", "1/2", "--symbolic")
+        assert code == 0 and json.loads(out) == [
+            {"r": 0, "polyV": ["1/3", "-1"]}]
+
+    def test_negative_upto_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeff", "rho", "--upto", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--upto" in err
+
     def test_beta_carries_sqrt2_tag(self, capsys):
         code, out, _ = run(capsys, "coeff", "beta", "--r", "2",
                            "--format", "plain")

@@ -19,7 +19,7 @@ from ramasym.coefficients import (U_coeff, _rho_sum, beta, gamma_coeff,
 from ramasym.combinat import (enumerate_oracle, eulerian2, stirling,
                               stirling_associated)
 from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
-                              _Library, _library_rows, clear_caches,
+                              _Library, clear_caches,
                               convolution, demoivre, harmonic, inv_factorial,
                               special_closed_forms, strip_r)
 
@@ -112,14 +112,17 @@ class TestIntegerRoute:
             assert isinstance(inv_factorial(s), _Library)
             assert not isinstance(convolution(harmonic(s)), _Library)
         assert not isinstance(inv_factorial(-1), _Library)
-        # the integer route fills the shared rows, not the sequence's own
+        # the integer route reads the associated rows and keeps no rows of
+        # its own; the convolution fills the sequence's own rows
         clear_caches()
-        demoivre(6, 2, harmonic(1))
-        assert len(_library_rows("cycle", 1)) == 7
+        lib = harmonic(1)
+        demoivre(6, 2, lib)
+        assert len(combinat._associated_rows("cycle", 1)) == 7
+        assert not hasattr(lib, "rows")
         conv = convolution(harmonic(1))
         demoivre(6, 2, conv)
         assert len(conv.rows[0]) == 7
-        assert len(_library_rows("cycle", 1)) == 7
+        assert len(combinat._associated_rows("cycle", 1)) == 7
 
     @given(st.sampled_from([harmonic, inv_factorial]), st.integers(0, 4),
            st.integers(0, 40), st.integers(0, 40))
@@ -196,7 +199,8 @@ class TestShiftedFactories:
 
 class TestSequenceKeys:
     """Each sequence owns its triangle: library sequences of one kind and
-    shift share one row store, and every other sequence keeps its own."""
+    shift read one store of integer rows, and every other sequence keeps
+    its own."""
 
     def test_library_sequences_share_one_triangle(self):
         for factory, kind in ((harmonic, "cycle"), (inv_factorial, "subset")):
@@ -204,12 +208,14 @@ class TestSequenceKeys:
                 first, second = factory(s), factory(s)
                 assert first != second
                 demoivre(5, 2, first)
-                rows = _library_rows(kind, s)
+                rows = combinat._associated_rows(kind, s)
                 assert len(rows) >= 6
                 demoivre(9, 2, second)
-                assert _library_rows(kind, s) is rows and len(rows) >= 10
-        assert _library_rows("cycle", 1) is not _library_rows("subset", 1)
-        assert _library_rows("cycle", 1) is not _library_rows("cycle", 2)
+                assert combinat._associated_rows(kind, s) is rows
+                assert len(rows) >= 10
+        rows = combinat._associated_rows
+        assert rows("cycle", 1) is not rows("subset", 1)
+        assert rows("cycle", 1) is not rows("cycle", 2)
 
     def test_convolution_is_a_sequence_of_its_own(self):
         seq = harmonic(2)
@@ -279,8 +285,7 @@ def test_clear_caches_preserves_results():
     before = compute()
     caches = _package_lru_caches()
     assert any(c.cache_info().currsize for c in caches)
-    stores = (_library_rows, combinat._associated_rows,
-              combinat._eulerian2_rows)
+    stores = (combinat._associated_rows, combinat._eulerian2_rows)
     assert all(store.cache_info().currsize for store in stores)
     assert combinat._associated_rows("cycle", 0)[9][4] == before[6]
     clear_caches()
@@ -341,13 +346,13 @@ def test_memos_are_keyed_by_value(first, spellings):
 
 def test_import_leaves_every_memo_empty():
     # a cold benchmark operation counts on this: importing the package,
-    # the ledger and the CLI fills no lru_cache and no library rows
+    # the ledger and the CLI fills no lru_cache and no associated rows
     code = ("import sys, ramasym, ramasym.checks, ramasym.cli\n"
             "full = [f'{name}.{key}' for name, mod in sys.modules.items()\n"
             "        if name.startswith('ramasym')\n"
             "        for key, obj in vars(mod).items()\n"
             "        if hasattr(obj, 'cache_info') and obj.cache_info().currsize]\n"
-            "rows = sys.modules['ramasym.demoivre']._library_rows\n"
+            "rows = sys.modules['ramasym.combinat']._associated_rows\n"
             "print(full, rows.cache_info().currsize)\n")
     src = str(Path(ramasym.__file__).resolve().parents[1])
     env = dict(os.environ)

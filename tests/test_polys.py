@@ -81,6 +81,17 @@ class TestBinomialPoly:
         expected = (-1) ** m * math.comb(m - n - 1, m)
         assert binomial_poly(m)(Fraction(n)) == expected
 
+    def test_every_order_to_sixty_without_stirling_numbers(self):
+        # binomial_poly reads the Stirling cycle rows; this check uses
+        # math.comb alone, so a bad cycle row cannot hide behind it
+        for m in range(61):
+            p = binomial_poly(m)
+            assert p.degree == m
+            for n in range(-3, m + 3):
+                want = (math.comb(n, m) if n >= 0
+                        else (-1) ** m * math.comb(m - n - 1, m))
+                assert p(Fraction(n)) == want, (m, n)
+
     def test_half_integer(self):
         assert binomial_poly(2)(Fraction(1, 2)) == Fraction(-1, 8)
 
