@@ -31,9 +31,10 @@ from .asymptotics import (CurvePoint, ExpansionResult, RegionLabel,
                           S_expansion, T_expansion, classify,
                           gamma_expansion, lambert_w_recip_e, phi,
                           psi_expansion, szego_curve, theta_expansion)
-from .oracle import (ProbeRow, convergence_probe, oracle_Ei, oracle_S,
-                     oracle_T, oracle_factorial, oracle_psi, oracle_theta)
-from .checks import CheckResult, run_all, run_identity_suite
+from .oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
+                     oracle_psi, oracle_theta)
+from .checks import (CheckResult, ProbeRow, convergence_probe, run_all,
+                     run_identity_suite)
 
 __version__ = "0.1.0"
 

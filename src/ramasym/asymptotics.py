@@ -256,10 +256,10 @@ def gamma_expansion(n, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
         / mp.exp(nm))
 
 
-def _tail_head_expansion(kind: str, n, w, v, R: int, digits: int,
-                         epsilon) -> ExpansionResult:
+def _tail_head_expansion(kind: str, n, w, v, R: int,
+                         digits: int) -> ExpansionResult:
     _check_order(n, R)
-    label = classify(w, epsilon, digits)
+    label = classify(w, digits=digits)
     k = label.kind
 
     if k == "Zero":
@@ -310,8 +310,7 @@ def _tail_head_expansion(kind: str, n, w, v, R: int, digits: int,
     return _expansion(build, R, digits, label, order)
 
 
-def S_expansion(n, w, v=0, R: int = 3, digits: int = 50,
-                epsilon=Fraction(1, 10 ** 20)) -> ExpansionResult:
+def S_expansion(n, w, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
     """Truncated large-n expansion of the scaled tail sum S_n(w;v).
 
     Dispatches on classify(w): the U-series in X, Y, and on the S-side
@@ -319,15 +318,14 @@ def S_expansion(n, w, v=0, R: int = 3, digits: int = 50,
     form on the T-side arc; the dominant sqrt(n)-scaled gamma form in Z;
     and the exact value 0 at w = 0.
     """
-    return _tail_head_expansion("S", n, w, v, R, digits, epsilon)
+    return _tail_head_expansion("S", n, w, v, R, digits)
 
 
-def T_expansion(n, w, v=0, R: int = 3, digits: int = 50,
-                epsilon=Fraction(1, 10 ** 20)) -> ExpansionResult:
+def T_expansion(n, w, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
     """Truncated large-n expansion of the scaled head sum T_n(w;v).
 
     Mirror of S_expansion: the negated U-series in X, Z, and on the T-side
     boundary; the mixed form at w = 1; the oscillatory form on the S-side
     arc; the dominant form in Y.  w = 0 is undefined.
     """
-    return _tail_head_expansion("T", n, w, v, R, digits, epsilon)
+    return _tail_head_expansion("T", n, w, v, R, digits)

@@ -15,19 +15,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from mpmath import mp
 
 from . import coefficients as cf
-from .asymptotics import classify, phi, szego_curve
+from .asymptotics import (S_expansion, T_expansion, classify,
+                          gamma_expansion, phi, psi_expansion, szego_curve,
+                          theta_expansion)
 from .combinat import (binomial, double_factorial, enumerate_oracle,
                        eulerian2, stirling, stirling_associated)
 from .demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence, convolution,
                        demoivre, harmonic, inv_factorial,
                        special_closed_forms, strip_r)
 from .numcore import GaussianRational, to_mp
-from .oracle import convergence_probe
+from .oracle import (oracle_S, oracle_T, oracle_factorial, oracle_psi,
+                     oracle_theta)
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
 
 
@@ -459,6 +462,63 @@ def check_saddle(max_s: int = 8, max_r: int = 5) -> list:
         "saddle-reproduces-u", u_pairs(),
         f"order-1 saddle data gives U_r for r <= {max_r}"))
     return out
+
+
+@dataclass(frozen=True)
+class ProbeRow:
+    """One measurement: truncation error at n, and the decay ratio
+    error(n)/error(n/2) when the halved n is also in the probe list."""
+
+    n: int
+    error: object
+    ratio: Optional[object]
+
+
+def _expansion_error(target: str, n: int, v: int, w, R: int, digits: int):
+    if target == "theta":
+        approx = theta_expansion(n, v, R, digits).value
+        exact = oracle_theta(n, v, digits)
+    elif target == "gammaFactorial":
+        approx = gamma_expansion(n, v, R, digits).value
+        exact = oracle_factorial(n, v)
+    elif target == "psi":
+        approx = psi_expansion(n, v, R, digits).value
+        exact = oracle_psi(n, v, digits)
+    elif target == "S":
+        approx = S_expansion(n, w, v, R, digits).value
+        exact = oracle_S(n, w, v, digits)
+    elif target == "T":
+        approx = T_expansion(n, w, v, R, digits).value
+        exact = oracle_T(n, w, v)
+    else:
+        raise ValueError(f"unknown probe target {target!r}")
+    err = abs(approx - to_mp(exact))
+    if target == "gammaFactorial":
+        err = err / to_mp(exact)
+    return err
+
+
+def convergence_probe(target: str, R: int, n_list: Sequence[int],
+                      v: int = 0, w=None, digits: int = 200) -> list:
+    """Measure truncation-error decay across n_list.
+
+    For each consecutive pair (n, 2n) in n_list, ratio = error(2n)/error(n);
+    an order-R truncation has ratio near 2^(-R) (relative error for the
+    factorial target, absolute otherwise), all at a precision set by digits.
+    """
+    if list(n_list) != sorted(set(n_list)):
+        raise ValueError("n_list must be strictly increasing")
+    errors = {}
+    rows = []
+    with mp.workprec(int(digits * 3.33) + 64):
+        for n in n_list:
+            err = _expansion_error(target, n, v, w, R, digits)
+            errors[n] = err
+            ratio = None
+            if n % 2 == 0 and n // 2 in errors and errors[n // 2] != 0:
+                ratio = err / errors[n // 2]
+            rows.append(ProbeRow(n, err, ratio))
+    return rows
 
 
 # (target, R, n list, v, w, name suffix); psi's large n stops at 2000, as

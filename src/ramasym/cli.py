@@ -8,10 +8,15 @@ Subcommands:
   szego     sample the boundary curve as CSV
   verify    run the verification ledger suites
 
-JSON is the default output format (CSV for szego, plain text for verify);
-``--format`` accepts only the formats a command writes, e.g. ``plain`` for
-bare text.  Exit status: 0 on success, 1 on failed checks or domain
-errors, 2 on usage errors.
+``coeff``, ``eval``, ``oracle`` and ``verify`` take a target next (``coeff
+rho``, ``eval S``, ``oracle T``, ``verify all``), and each target is its own
+parser leaf, built from the tables below, that holds exactly the options the
+target reads: an option a target does not read is a usage error, and
+``ramasym coeff rho --help`` lists what rho takes.  JSON is the default
+output format (CSV for szego, plain text for verify); ``--format`` accepts
+only the formats a command writes, e.g. ``plain`` for bare text.  A JSON key
+a target does not read is null.  Exit status: 0 on success, 1 on failed
+checks or domain errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from fractions import Fraction
 from . import checks
 from .asymptotics import (S_expansion, T_expansion, classify, gamma_expansion,
                           psi_expansion, szego_curve, theta_expansion)
-from .coefficients import (U_coeff, beta, gamma_coeff, psi, rho, tau)
+from .coefficients import (_POLY_MODES, _U_MODES, U_coeff, beta, gamma_coeff,
+                           psi, rho, tau)
 from .numcore import (GaussianRational, PrecisionError, format_bigfloat,
                       format_rational, parse_gaussian, parse_rational)
 from .oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
@@ -48,18 +54,43 @@ def _num_str(x, digits: int) -> str:
     return format_bigfloat(x, digits)
 
 
+# add_argument keywords of the options several targets read
+_DIGITS = {"--digits": dict(type=int, default=50,
+                            help="working precision in decimal digits "
+                                 "(default 50)")}
+_W = {"--w": dict(required=True, help="argument (Gaussian rational)")}
+
+
+def _modes(choices) -> dict:
+    return {"--mode": dict(choices=choices, default="plain",
+                           help="family variant (default plain)")}
+
+
+def _formats(*formats) -> dict:
+    """--format over the formats a command writes; the first is its
+    default."""
+    return {"--format": dict(choices=formats, default=formats[0],
+                             help=f"output format (default {formats[0]})")}
+
+
 # ---------------------------------------------------------------------------
 # coeff
 # ---------------------------------------------------------------------------
 
+# family: (its member of index r, the options it reads besides --r, --upto
+# and --v)
 _FAMILIES = {
-    "rho": lambda r, args: rho(r, args.mode),
-    "gamma": lambda r, args: gamma_coeff(r, args.mode),
-    "tau": lambda r, args: tau(r),
-    "psi": lambda r, args: psi(r),
-    "beta": lambda r, args: beta(r, args.mode),
-    "U": lambda r, args: U_coeff(r, args.mode,
-                                 taylor_terms=args.taylor_terms),
+    "rho": (lambda r, args: rho(r, args.mode), _modes(_POLY_MODES)),
+    "gamma": (lambda r, args: gamma_coeff(r, args.mode), _modes(_POLY_MODES)),
+    "U": (lambda r, args: U_coeff(r, args.mode,
+                                  taylor_terms=args.taylor_terms),
+          {"--w": dict(help="evaluate at this Gaussian rational w"),
+           **_modes(_U_MODES),
+           "--taylor-terms": dict(type=int, help="truncation order for "
+                                  "--mode taylor (at least 1)")}),
+    "tau": (lambda r, args: tau(r), {}),
+    "psi": (lambda r, args: psi(r), {}),
+    "beta": (lambda r, args: beta(r, args.mode), _modes(_POLY_MODES)),
 }
 
 
@@ -69,7 +100,7 @@ def _coeff_value(args, x) -> str:
         if args.w is None:
             return str(x)
         v = parse_rational(args.v) if args.v is not None else Fraction(0)
-        return _num_str(x(parse_gaussian(args.w), v), args.digits)
+        return str(x(parse_gaussian(args.w), v))
     if args.v is None:
         return str(x)
     v = parse_rational(args.v)
@@ -92,12 +123,7 @@ def _coeff_record(args, r: int, x) -> dict:
 
 
 def cmd_coeff(args) -> int:
-    if args.family in ("tau", "psi") and args.mode != "plain":
-        raise ValueError(f"{args.family} has only the plain mode")
-    if args.symbolic:
-        args.v = None
-        args.w = None
-    member = _FAMILIES[args.family]
+    member = _FAMILIES[args.target][0]
     if args.upto is not None:
         records = [_coeff_record(args, r, member(r, args))
                    for r in range(args.upto + 1)]
@@ -114,47 +140,41 @@ def cmd_coeff(args) -> int:
 # eval / oracle
 # ---------------------------------------------------------------------------
 
+# target: (its expansion at (n, w, v, R, digits), the options it reads
+# besides --n, --v, --terms and --digits)
 _EXPANSIONS = {
-    "theta": lambda n, w, v, R, d: theta_expansion(n, v, R, d),
-    "gamma": lambda n, w, v, R, d: gamma_expansion(n, v, R, d),
-    "psi": lambda n, w, v, R, d: psi_expansion(n, v, R, d),
-    "S": S_expansion,
-    "T": T_expansion,
+    "theta": (lambda n, w, v, R, d: theta_expansion(n, v, R, d), {}),
+    "gamma": (lambda n, w, v, R, d: gamma_expansion(n, v, R, d), {}),
+    "S": (S_expansion, _W),
+    "T": (T_expansion, _W),
+    "psi": (lambda n, w, v, R, d: psi_expansion(n, v, R, d), {}),
 }
 
+_V = {"--v": dict(type=int, default=0, help="integer offset (default 0)")}
+
+# target: (its value at (n, w, v, digits), the options it reads besides --n)
 _ORACLES = {
-    "theta": lambda n, w, v, d: oracle_theta(n, v, d),
-    "psi": lambda n, w, v, d: oracle_psi(n, v, d),
-    "Ei": lambda n, w, v, d: oracle_Ei(n, d),
-    "factorial": lambda n, w, v, d: oracle_factorial(n, v),
-    "S": lambda n, w, v, d: oracle_S(n, _exact_w(w), v, d),
-    "T": lambda n, w, v, d: oracle_T(n, _exact_w(w), v),
+    "theta": (lambda n, w, v, d: oracle_theta(n, v, d), _V | _DIGITS),
+    "S": (lambda n, w, v, d: oracle_S(n, _exact(w), v, d),
+          _W | _V | _DIGITS),
+    "T": (lambda n, w, v, d: oracle_T(n, _exact(w), v), _W | _V),
+    "psi": (lambda n, w, v, d: oracle_psi(n, v, d), _V | _DIGITS),
+    "Ei": (lambda n, w, v, d: oracle_Ei(n, d), _DIGITS),
+    "factorial": (lambda n, w, v, d: oracle_factorial(n, v), _V),
 }
-
-
-def _parse_v(text):
-    if text is None:
-        return Fraction(0)
-    g = parse_gaussian(text)
-    if not g.im:
-        return g.re
-    return g
 
 
 def _parse_w(args):
-    if args.w is None:
-        if args.target in ("S", "T"):
-            raise ValueError(f"{args.command} {args.target} needs --w")
-        return None
-    return parse_gaussian(args.w)
+    """--w of the targets that read it, else None."""
+    return parse_gaussian(args.w) if "w" in args else None
 
 
 def cmd_eval(args) -> int:
-    v = _parse_v(args.v)
+    v = _exact(parse_gaussian(args.v))
     w = _parse_w(args)
     R = args.terms
     digits = args.digits
-    res = _EXPANSIONS[args.target](args.n, w, v, R, digits)
+    res = _EXPANSIONS[args.target][0](args.n, w, v, R, digits)
     value = _num_str(res.value, digits)
     payload = {
         "target": args.target, "n": args.n, "v": str(v),
@@ -168,10 +188,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    v = args.v if args.v is not None else 0
-    digits = args.digits
+    v = getattr(args, "v", None)
+    digits = getattr(args, "digits", None)
     w = _parse_w(args)
-    value = _num_str(_ORACLES[args.target](args.n, w, v, digits), digits)
+    value = _num_str(_ORACLES[args.target][0](args.n, w, v, digits), digits)
     payload = {"target": args.target, "n": args.n, "v": v,
                "w": str(w) if w is not None else None,
                "digits": digits, "value": value}
@@ -179,7 +199,8 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _exact_w(g: GaussianRational):
+def _exact(g: GaussianRational):
+    """g, or its real part as a Fraction when g is real."""
     return g.re if not g.im else g
 
 
@@ -222,20 +243,23 @@ def cmd_szego(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+_MAX_R = {"--max-r": dict(type=int, help="index range of identities and "
+                          "conjecture; all reads it as the conjecture range "
+                          f"(default {checks._CONJECTURE_MAX_R})")}
+
+# suite: (its ledger lines, the options it reads)
 _SUITES = {
-    "identities": checks.run_identity_suite,
-    "conjecture": checks.check_conjecture_range,
-    "convergence": checks.check_convergence,
-    "regions": checks.check_regions,
-    "all": checks.run_all,
+    "identities": (checks.run_identity_suite, _MAX_R),
+    "conjecture": (checks.check_conjecture_range, _MAX_R),
+    "convergence": (checks.check_convergence, {}),
+    "regions": (checks.check_regions, {}),
+    "all": (checks.run_all, _MAX_R),
 }
-# the suites that read --max-r
-_MAX_R_SUITES = ("identities", "conjecture", "all")
 
 
 def cmd_verify(args) -> int:
-    suite = _SUITES[args.suite]
-    results = suite(args.max_r) if args.suite in _MAX_R_SUITES else suite()
+    suite = _SUITES[args.target][0]
+    results = suite(args.max_r) if "max_r" in args else suite()
     passed = sum(1 for r in results if r.ok)
     ok = passed == len(results)
     if args.format == "json":
@@ -254,10 +278,36 @@ def cmd_verify(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
-# the output formats each command writes; the first is its default
-_FORMATS = {"coeff": ("json", "plain"), "eval": ("json", "plain"),
-            "oracle": ("json", "plain"), "classify": ("json", "plain"),
-            "szego": ("csv", "json"), "verify": ("plain", "json")}
+# command: (help, handler, the options every target reads, targets or None)
+_COMMANDS = {
+    "coeff": ("print an expansion coefficient", cmd_coeff, {
+        "--r": dict(type=int, default=0, help="coefficient index"),
+        "--upto": dict(type=int, help="emit all indices 0..N as JSON "
+                       "records, evaluated at --v (U: at --w)"),
+        "--v": dict(help="evaluate at this rational v (default: symbolic)"),
+        **_formats("json", "plain")}, _FAMILIES),
+    "eval": ("evaluate a truncated expansion", cmd_eval, {
+        "--n": dict(type=int, required=True),
+        "--v": dict(default="0", help="offset (Gaussian rational)"),
+        "--terms": dict(type=int, default=3,
+                        help="truncation order R (default 3)"),
+        **_DIGITS, **_formats("json", "plain")}, _EXPANSIONS),
+    "oracle": ("reference value from the defining sum", cmd_oracle, {
+        "--n": dict(type=int, required=True),
+        **_formats("json", "plain")}, _ORACLES),
+    "classify": ("label a point of the w-plane", cmd_classify, {
+        "--w": dict(required=True, help="Gaussian rational point"),
+        "--epsilon": dict(default="1/100000000000000000000",
+                          help="boundary tolerance (default 10^-20)"),
+        **_DIGITS, **_formats("json", "plain")}, None),
+    "szego": ("sample the boundary curve", cmd_szego, {
+        "--t-min": dict(default="-27/100"),
+        "--t-max": dict(default="173/100"),
+        "--step": dict(default="1/100"),
+        **_DIGITS, **_formats("csv", "json")}, None),
+    "verify": ("run the verification ledger", cmd_verify,
+               _formats("plain", "json"), _SUITES),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,99 +319,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--digits", type=int, default=50,
-                        help="working precision in decimal digits "
-                             "(default 50)")
-
     p = _Parser(
         prog="ramasym",
         description="Exact coefficients and verified numerics for the "
                     "asymptotics of exponential partial sums.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("coeff", parents=[common],
-                        help="print an expansion coefficient")
-    pc.add_argument("family",
-                    choices=("rho", "gamma", "U", "tau", "psi", "beta"))
-    pc.add_argument("--r", type=int, default=0, help="coefficient index")
-    pc.add_argument("--upto", type=int, default=None,
-                    help="emit all indices 0..N as JSON records, "
-                         "evaluated at --v (U: at --w)")
-    pc.add_argument("--v", default=None,
-                    help="evaluate at this rational v (default: symbolic)")
-    pc.add_argument("--w", default=None,
-                    help="evaluate U at this Gaussian rational w")
-    pc.add_argument("--symbolic", action="store_true",
-                    help="force the symbolic polynomial form")
-    pc.add_argument("--mode", default="plain",
-                    help="family variant (plain, tilde; U also accepts "
-                         "vzero_harmonic, vzero_factorial, eulerian, taylor)")
-    pc.add_argument("--taylor-terms", type=int, default=None,
-                    help="truncation order for U mode taylor (at least 1)")
-    pc.set_defaults(fn=cmd_coeff)
-
-    pe = sub.add_parser("eval", parents=[common],
-                        help="evaluate a truncated expansion")
-    pe.add_argument("target", choices=("theta", "gamma", "S", "T", "psi"))
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--v", default=None, help="offset (Gaussian rational)")
-    pe.add_argument("--w", default=None, help="argument (Gaussian rational)")
-    pe.add_argument("--terms", type=int, default=3,
-                    help="truncation order R (default 3)")
-    pe.set_defaults(fn=cmd_eval)
-
-    po = sub.add_parser("oracle", parents=[common],
-                        help="reference value from the defining sum")
-    po.add_argument("target",
-                    choices=("theta", "S", "T", "psi", "Ei", "factorial"))
-    po.add_argument("--n", type=int, required=True)
-    po.add_argument("--v", type=int, default=None)
-    po.add_argument("--w", default=None, help="exact Gaussian rational")
-    po.set_defaults(fn=cmd_oracle)
-
-    pk = sub.add_parser("classify", parents=[common],
-                        help="label a point of the w-plane")
-    pk.add_argument("--w", required=True, help="Gaussian rational point")
-    pk.add_argument("--epsilon", default="1/100000000000000000000",
-                    help="boundary tolerance (default 10^-20)")
-    pk.set_defaults(fn=cmd_classify)
-
-    ps = sub.add_parser("szego", parents=[common],
-                        help="sample the boundary curve")
-    ps.add_argument("--t-min", default="-27/100")
-    ps.add_argument("--t-max", default="173/100")
-    ps.add_argument("--step", default="1/100")
-    ps.set_defaults(fn=cmd_szego)
-
-    pv = sub.add_parser("verify", parents=[common],
-                        help="run the verification ledger")
-    pv.add_argument("suite", choices=tuple(_SUITES))
-    pv.add_argument("--max-r", type=int, default=None,
-                    help="index range of identities and conjecture; all "
-                         "reads it as the conjecture range (default "
-                         f"{checks._CONJECTURE_MAX_R})")
-    pv.set_defaults(fn=cmd_verify)
-
-    for command, sp in sub.choices.items():
-        sp.add_argument("--format", choices=_FORMATS[command],
-                        default=_FORMATS[command][0],
-                        help=f"output format (default {_FORMATS[command][0]})")
+    for command, (help_, fn, options, targets) in _COMMANDS.items():
+        cp = sub.add_parser(command, help=help_)
+        if targets is None:
+            leaves = [(cp, {})]
+        else:
+            tsub = cp.add_subparsers(dest="target", required=True)
+            leaves = [(tsub.add_parser(target), own)
+                      for target, (_, own) in targets.items()]
+        for leaf, own in leaves:
+            for flag, kwargs in (options | own).items():
+                leaf.add_argument(flag, **kwargs)
+            leaf.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.max_r is not None \
-            and args.suite not in _MAX_R_SUITES:
-        parser.error(f"argument --max-r: verify {args.suite} does not "
-                     f"read it")
     if args.command == "coeff" and args.upto is not None and args.upto < 0:
         parser.error("argument --upto: must be nonnegative")
-    if args.command == "coeff" and args.taylor_terms is not None \
-            and (args.family, args.mode) != ("U", "taylor"):
-        parser.error("argument --taylor-terms: only U --mode taylor reads it")
+    if args.command == "coeff" and args.target == "U":
+        if args.taylor_terms is not None and args.mode != "taylor":
+            parser.error("argument --taylor-terms: only --mode taylor "
+                         "reads it")
+        if args.v is not None and args.w is None:
+            parser.error("argument --v: U reads it only together with --w")
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, PrecisionError,

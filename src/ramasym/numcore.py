@@ -258,8 +258,12 @@ def _agree(a, b, digits: int) -> bool:
     return diff <= mp.mpf(10) ** (-digits) * scale
 
 
+# precision doublings verified_eval tries before it gives up
+_ROUNDS = 6
+
+
 def verified_eval(compute: Callable[[], object], digits: int,
-                  cancel_digits: int = 0, max_rounds: int = 6):
+                  cancel_digits: int = 0):
     """Evaluate ``compute`` until two precisions p and p + 64 bits agree,
     and return the p + 64 bit value.
 
@@ -274,7 +278,7 @@ def verified_eval(compute: Callable[[], object], digits: int,
     if digits <= 0:
         raise ValueError("digits must be positive")
     prec = int((digits + cancel_digits + 10) * _LOG2_10) + 20
-    for _ in range(max_rounds):
+    for _ in range(_ROUNDS):
         with mp.workprec(prec):
             a = compute()
         with mp.workprec(prec + 64):
@@ -284,7 +288,7 @@ def verified_eval(compute: Callable[[], object], digits: int,
                 return b
         prec *= 2
     raise PrecisionError(
-        f"no agreement to {digits} digits after {max_rounds} escalations")
+        f"no agreement to {digits} digits after {_ROUNDS} escalations")
 
 
 def format_bigfloat(x, digits: int) -> str:

@@ -5,20 +5,18 @@ of the defining finite sums.  The exact head sums (T, and the partial sums
 inside theta and Psi) run as integer recurrences with a single reduction
 at the end; the Ei series is summed in fixed point.  S, theta, Ei, and Psi
 are evaluated at verified precision with explicit guard digits where
-catastrophic cancellation occurs.  ``convergence_probe`` measures
-error-decay ratios of the truncated expansions against these references.
+catastrophic cancellation occurs.  The module reaches nothing of the
+package but ``numcore``: no coefficient, triangle or expansion code, so an
+oracle shares no route with what it checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, lgamma, log, log10, pi
-from typing import Optional, Sequence
 
 from mpmath import mp
 
-from . import asymptotics
 from .numcore import GaussianRational, to_mp, verified_eval
 
 _LOG10_E = log10(2.718281828459045)
@@ -194,60 +192,3 @@ def oracle_psi(n: int, v: int = 0, digits: int = 50):
         return (n * mp.exp(-n) * to_mp(ei) - to_mp(partial)) * to_mp(scale)
 
     return verified_eval(compute, digits, cancel_digits=cancel)
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    """One measurement: truncation error at n, and the decay ratio
-    error(n)/error(n/2) when the halved n is also in the probe list."""
-
-    n: int
-    error: object
-    ratio: Optional[object]
-
-
-def _expansion_error(target: str, n: int, v: int, w, R: int, digits: int):
-    if target == "theta":
-        approx = asymptotics.theta_expansion(n, v, R, digits).value
-        exact = oracle_theta(n, v, digits)
-    elif target == "gammaFactorial":
-        approx = asymptotics.gamma_expansion(n, v, R, digits).value
-        exact = oracle_factorial(n, v)
-    elif target == "psi":
-        approx = asymptotics.psi_expansion(n, v, R, digits).value
-        exact = oracle_psi(n, v, digits)
-    elif target == "S":
-        approx = asymptotics.S_expansion(n, w, v, R, digits).value
-        exact = oracle_S(n, w, v, digits)
-    elif target == "T":
-        approx = asymptotics.T_expansion(n, w, v, R, digits).value
-        exact = oracle_T(n, w, v)
-    else:
-        raise ValueError(f"unknown probe target {target!r}")
-    err = abs(approx - to_mp(exact))
-    if target == "gammaFactorial":
-        err = err / to_mp(exact)
-    return err
-
-
-def convergence_probe(target: str, R: int, n_list: Sequence[int],
-                      v: int = 0, w=None, digits: int = 200) -> list:
-    """Measure truncation-error decay across n_list.
-
-    For each consecutive pair (n, 2n) in n_list, ratio = error(2n)/error(n);
-    an order-R truncation has ratio near 2^(-R) (relative error for the
-    factorial target, absolute otherwise), all at a precision set by digits.
-    """
-    if list(n_list) != sorted(set(n_list)):
-        raise ValueError("n_list must be strictly increasing")
-    errors = {}
-    rows = []
-    with mp.workprec(int(digits * 3.33) + 64):
-        for n in n_list:
-            err = _expansion_error(target, n, v, w, R, digits)
-            errors[n] = err
-            ratio = None
-            if n % 2 == 0 and n // 2 in errors and errors[n // 2] != 0:
-                ratio = err / errors[n // 2]
-            rows.append(ProbeRow(n, err, ratio))
-    return rows

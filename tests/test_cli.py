@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    """stderr of a command line refused as a usage error: exit status 2
+    and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    return err
+
+
 class TestCoeff:
     def test_rho_value_plain(self, capsys):
         code, out, _ = run(capsys, "coeff", "rho", "--r", "4", "--v", "0",
@@ -34,7 +45,7 @@ class TestCoeff:
         assert code == 0 and json.loads(out) == "8992/12629925"
 
     def test_u_symbolic(self, capsys):
-        code, out, _ = run(capsys, "coeff", "U", "--r", "0", "--symbolic",
+        code, out, _ = run(capsys, "coeff", "U", "--r", "0",
                            "--format", "plain")
         assert code == 0 and out == "1/(1-w)\n"
 
@@ -76,12 +87,6 @@ class TestCoeff:
         assert code == 0 and records == [
             {"r": r, "value": value} for r, value in enumerate(single)]
 
-    def test_upto_symbolic_ignores_v(self, capsys):
-        code, out, _ = run(capsys, "coeff", "rho", "--upto", "0",
-                           "--v", "1/2", "--symbolic")
-        assert code == 0 and json.loads(out) == [
-            {"r": 0, "polyV": ["1/3", "-1"]}]
-
     def test_negative_upto_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["coeff", "rho", "--upto", "-1"])
@@ -110,25 +115,23 @@ class TestCoeff:
                              "taylor", "--taylor-terms", terms)
         assert code == 1 and out == "" and "taylor_terms" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["U", "--r", "1", "--mode", "plain"],
-        ["U", "--r", "1"],
-        ["rho", "--r", "1"],
-        ["rho", "--r", "1", "--mode", "taylor"],
+    @pytest.mark.parametrize("argv,option", [
+        (["U", "--r", "1", "--mode", "plain"], "--taylor-terms"),
+        (["U", "--r", "1"], "--taylor-terms"),
+        (["rho", "--r", "1"], "--taylor-terms"),
+        # rho has no taylor mode, and argparse refuses it first
+        (["rho", "--r", "1", "--mode", "taylor"], "--mode"),
     ], ids=["U-plain", "U-default", "rho", "rho-taylor"])
     def test_taylor_terms_outside_taylor_mode_is_a_usage_error(
-            self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(["coeff", *argv, "--taylor-terms", "5"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "--taylor-terms" in err
+            self, capsys, argv, option):
+        err = usage_error(capsys, "coeff", *argv, "--taylor-terms", "5")
+        assert option in err
 
     @pytest.mark.parametrize("family", ["psi", "tau"])
     def test_plain_only_family_rejects_other_modes(self, capsys, family):
-        code, out, err = run(capsys, "coeff", family, "--r", "1",
-                             "--mode", "bogus")
-        assert code == 1 and out == "" and "error:" in err
+        err = usage_error(capsys, "coeff", family, "--r", "1",
+                          "--mode", "bogus")
+        assert "--mode" in err
 
 
 class TestEval:
@@ -150,8 +153,8 @@ class TestEval:
         assert code == 0 and data["regime"] == "Y" and data["w"] == "1/2"
 
     def test_s_needs_w(self, capsys):
-        code, _, err = run(capsys, "eval", "S", "--n", "40")
-        assert code == 1 and "needs --w" in err
+        err = usage_error(capsys, "eval", "S", "--n", "40")
+        assert "the following arguments are required: --w" in err
 
     def test_t_at_zero_reports_domain_error(self, capsys):
         code, _, err = run(capsys, "eval", "T", "--n", "10", "--w", "0")
@@ -183,6 +186,15 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "factorial", "--n", "6",
                            "--v", "1", "--format", "plain")
         assert code == 0 and out == "5040\n"
+
+    @pytest.mark.parametrize("argv,key", [
+        (["Ei", "--n", "10"], "v"),
+        (["factorial", "--n", "6", "--v", "1"], "digits"),
+        (["T", "--n", "5", "--w", "1/2"], "digits"),
+    ])
+    def test_an_unread_key_is_null(self, capsys, argv, key):
+        code, out, _ = run(capsys, "oracle", *argv)
+        assert code == 0 and json.loads(out)[key] is None
 
     def test_ei(self, capsys):
         code, out, _ = run(capsys, "oracle", "Ei", "--n", "10",
@@ -351,3 +363,76 @@ class TestParsingAndEnvironment:
         assert code == 0
         assert default == run(capsys, *argv, "--digits", "50")[1]
         assert default != run(capsys, *argv, "--digits", "49")[1]
+
+
+# the options each command and target reads, as the README's table lists them
+_COEFF = {"--r", "--upto", "--v", "--format"}
+_EVAL = {"--n", "--v", "--terms", "--digits", "--format"}
+_ORACLE = {"--n", "--format"}
+_VERIFY = {"--format"}
+LEAF_OPTIONS = {
+    "coeff rho": _COEFF | {"--mode"},
+    "coeff gamma": _COEFF | {"--mode"},
+    "coeff beta": _COEFF | {"--mode"},
+    "coeff tau": _COEFF,
+    "coeff psi": _COEFF,
+    "coeff U": _COEFF | {"--w", "--mode", "--taylor-terms"},
+    "eval theta": _EVAL,
+    "eval gamma": _EVAL,
+    "eval psi": _EVAL,
+    "eval S": _EVAL | {"--w"},
+    "eval T": _EVAL | {"--w"},
+    "oracle theta": _ORACLE | {"--v", "--digits"},
+    "oracle psi": _ORACLE | {"--v", "--digits"},
+    "oracle Ei": _ORACLE | {"--digits"},
+    "oracle factorial": _ORACLE | {"--v"},
+    "oracle S": _ORACLE | {"--w", "--v", "--digits"},
+    "oracle T": _ORACLE | {"--w", "--v"},
+    "classify": {"--w", "--epsilon", "--digits", "--format"},
+    "szego": {"--t-min", "--t-max", "--step", "--digits", "--format"},
+    "verify identities": _VERIFY | {"--max-r"},
+    "verify conjecture": _VERIFY | {"--max-r"},
+    "verify convergence": _VERIFY,
+    "verify regions": _VERIFY,
+    "verify all": _VERIFY | {"--max-r"},
+}
+
+# (command line, the option in it that its target does not read)
+UNREAD = [
+    *((["coeff", f, "--w", "1/2"], "--w")
+      for f in ("rho", "gamma", "beta", "tau", "psi")),
+    *((["coeff", f, "--digits", "3"], "--digits")
+      for f in ("rho", "gamma", "beta", "tau", "psi", "U")),
+    *((["coeff", f, "--mode", "tilde"], "--mode") for f in ("tau", "psi")),
+    (["coeff", "U", "--v", "3"], "--v"),
+    *((["eval", t, "--n", "20", "--w", "1/2"], "--w")
+      for t in ("theta", "gamma", "psi")),
+    *((["oracle", t, "--n", "20", "--w", "1/2"], "--w")
+      for t in ("theta", "psi", "Ei", "factorial")),
+    (["oracle", "Ei", "--n", "20", "--v", "3"], "--v"),
+    (["oracle", "factorial", "--n", "5", "--digits", "3"], "--digits"),
+    (["oracle", "T", "--n", "5", "--w", "1/2", "--digits", "3"], "--digits"),
+    *((["verify", s, "--digits", "3"], "--digits")
+      for s in ("identities", "conjecture", "convergence", "regions", "all")),
+    (["coeff", "rho", "--symbolic"], "--symbolic"),
+    (["coeff", "U", "--symbolic"], "--symbolic"),
+]
+
+
+class TestLeaves:
+    """Each command target takes exactly the options it reads."""
+
+    @pytest.mark.parametrize("argv,option", UNREAD,
+                             ids=[f"{a[0]}-{a[1]}{o}" for a, o in UNREAD])
+    def test_an_unread_option_is_a_usage_error(self, capsys, argv, option):
+        assert option in usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("leaf", sorted(LEAF_OPTIONS))
+    def test_help_lists_the_options_the_target_reads(self, capsys, leaf):
+        with pytest.raises(SystemExit) as exc:
+            main([*leaf.split(), "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out.startswith(f"usage: ramasym {leaf} ")
+        assert set(re.findall(r"^  (--[\w-]+)", out, re.M)) \
+            == LEAF_OPTIONS[leaf]

@@ -3,7 +3,9 @@
 The tests compare the oracles and the expansions against mpmath's special
 functions, and the benchmark's reference implementation lives in
 ``perfbench``.  Neither may leak into the package: a route checked against
-itself shows nothing.  These rules are read off the source with ``ast``.
+itself shows nothing.  For the same reason the oracles reach no engine
+module: ``oracle.py`` imports nothing of the package but ``numcore``.  These
+rules are read off the source with ``ast``.
 """
 
 import ast
@@ -31,6 +33,28 @@ def imported_modules(tree):
                 yield node.module.partition(".")[0]
             for alias in node.names:
                 yield alias.name
+
+
+def package_modules(tree):
+    """Every module of this package an import statement reaches, named
+    inside the package: relative imports and ``ramasym.*``.  An import of
+    the package root reaches all of it and counts as ``ramasym``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "ramasym":
+                    yield rest.partition(".")[0] or "ramasym"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                head, _, module = module.partition(".")
+                if head != "ramasym":
+                    continue
+            if module:
+                yield module.partition(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
 
 
 def mpmath_names(tree):
@@ -61,6 +85,24 @@ def test_no_module_imports_perfbench(path):
 @pytest.mark.parametrize("name", ["oracle.py", "asymptotics.py"])
 def test_no_mpmath_reference_in_the_routes_it_checks(name):
     assert not REFERENCES & set(mpmath_names(_tree(SRC / name)))
+
+
+def test_oracles_reach_no_engine_module():
+    assert set(package_modules(_tree(SRC / "oracle.py"))) <= {"numcore"}
+
+
+@pytest.mark.parametrize("code", [
+    "from . import asymptotics",
+    "from .coefficients import rho",
+    "from .numcore import to_mp\nfrom .demoivre import harmonic",
+    "def f():\n    from .asymptotics import theta_expansion",
+    "import ramasym.combinat",
+    "import ramasym",
+    "from ramasym.polys import PolyV",
+    "from ramasym import checks",
+])
+def test_an_engine_import_is_seen(code):
+    assert set(package_modules(ast.parse(code))) - {"numcore"}
 
 
 @pytest.mark.parametrize("code", [

@@ -144,7 +144,7 @@ class TestVerifiedEval:
 
     def test_unstable_computation_raises(self):
         with pytest.raises(PrecisionError):
-            verified_eval(lambda: mp.mpf(mp.prec), 10, max_rounds=3)
+            verified_eval(lambda: mp.mpf(mp.prec), 10)
 
     def test_rejects_nonpositive_digits(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import pytest
 from mpmath import mp
 
 from ramasym.numcore import GaussianRational, to_mp
-from ramasym.oracle import (ProbeRow, convergence_probe, oracle_Ei,
-                            oracle_S, oracle_T, oracle_factorial,
+from ramasym.checks import ProbeRow, convergence_probe
+from ramasym.oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
                             oracle_psi, oracle_theta)
 
 

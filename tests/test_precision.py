@@ -12,9 +12,9 @@ from mpmath import mp
 from ramasym.asymptotics import (S_expansion, T_expansion, classify,
                                  gamma_expansion, psi_expansion, szego_curve,
                                  theta_expansion)
+from ramasym.checks import convergence_probe
 from ramasym.numcore import GaussianRational
-from ramasym.oracle import (convergence_probe, oracle_Ei, oracle_S,
-                            oracle_psi, oracle_theta)
+from ramasym.oracle import oracle_Ei, oracle_S, oracle_psi, oracle_theta
 
 
 def bits(x):
