@@ -15,9 +15,9 @@ combinatorial identities that ties every family to an independent
 derivation.
 """
 
-from .numcore import (GaussianRational, PrecisionError, Rational,
-                      format_bigfloat, format_rational, parse_gaussian,
-                      parse_rational, to_mp, verified_eval)
+from .numcore import (GaussianRational, PrecisionError, format_bigfloat,
+                      format_rational, parse_gaussian, parse_rational, to_mp,
+                      verified_eval)
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
 from .demoivre import (CoeffSequence, clear_caches, harmonic, inv_factorial,
                        special_closed_forms, strip_r)
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "CoeffSequence", "ConjectureReport", "ConjectureRow",
     "CurvePoint", "ExpansionResult", "GaussianRational", "PolyV", "PolyW",
-    "PrecisionError", "ProbeRow", "Rational", "RationalFnW", "RegionLabel",
+    "PrecisionError", "ProbeRow", "RationalFnW", "RegionLabel",
     "S_expansion", "SaddleCoefficient", "SaddleData", "Sqrt2Scaled",
     "T_expansion", "U_coeff", "alpha_s", "beta", "binomial", "binomial_poly",
     "check_conjecture", "classify", "clear_caches", "convergence_probe",

@@ -25,10 +25,6 @@ from mpmath import mp
 from .coefficients import gamma_coeff, psi, rho, U_coeff
 from .numcore import _LOG2_10, to_mp, verified_eval
 
-_REGION_KINDS = ("X", "Y", "Z", "ScurveBoundary", "TcurveBoundary",
-                 "One", "Zero")
-
-
 @dataclass(frozen=True)
 class RegionLabel:
     """Where a point w lies in the partition of the w-plane.

@@ -368,8 +368,8 @@ def check_identities(max_n: int = 12) -> list:
         "psi-inversion-vs-demoivre",
         ((cf.psi(r), _psi_by_demoivre(r, gammas), f"r={r}")
          for r in range(9)),
-        "psi_r by the reciprocal-series recurrence equals the De Moivre "
-        "inversion over polynomials in v for r <= 8"))
+        "psi_r by series division of tau by the gamma series equals the "
+        "De Moivre inversion over polynomials in v for r <= 8"))
 
     # proof-relation anchors tying the beta family to rho and gamma
     out.append(_all_equal(

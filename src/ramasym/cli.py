@@ -131,7 +131,7 @@ def cmd_coeff(args) -> int:
                           for rec in records)
         _emit(args, records, plain)
         return 0
-    value = _coeff_value(args, member(args.r, args))
+    value = _coeff_value(args, member(0 if args.r is None else args.r, args))
     _emit(args, value, value)
     return 0
 
@@ -281,7 +281,7 @@ def cmd_verify(args) -> int:
 # command: (help, handler, the options every target reads, targets or None)
 _COMMANDS = {
     "coeff": ("print an expansion coefficient", cmd_coeff, {
-        "--r": dict(type=int, default=0, help="coefficient index"),
+        "--r": dict(type=int, help="coefficient index (default 0)"),
         "--upto": dict(type=int, help="emit all indices 0..N as JSON "
                        "records, evaluated at --v (U: at --w)"),
         "--v": dict(help="evaluate at this rational v (default: symbolic)"),
@@ -333,8 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
             leaves = [(tsub.add_parser(target), own)
                       for target, (_, own) in targets.items()]
         for leaf, own in leaves:
+            # coeff's --r and --upto exclude each other
+            group = leaf.add_mutually_exclusive_group() \
+                if "--upto" in options else leaf
             for flag, kwargs in (options | own).items():
-                leaf.add_argument(flag, **kwargs)
+                (group if flag in ("--r", "--upto") else leaf).add_argument(
+                    flag, **kwargs)
             leaf.set_defaults(fn=fn)
     return p
 

@@ -48,20 +48,27 @@ def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
     return PolyV.monomial(deg - m, Fraction(1, factorial(deg - m)))
 
 
-def _inner_sum(m: int, seq: CoeffSequence, weights: list):
-    """sum_k weights[k] A(m, k; seq), in the ring the weights live in."""
+def _double_sum(deg: int, seq: CoeffSequence, weights: list,
+                outer: Callable[[int], object], lo: int = 0):
+    """sum_(m=lo..deg) outer(m) sum_k weights[k] A(m, k; seq), in the ring
+    the weights and the outer factors live in: the saddle-point double sum
+    every family and ``alpha_s`` are built from."""
     total = Fraction(0)
-    for k in range(m + 1):
-        A = seq.value(m, k)
-        if A:
-            total = total + weights[k] * A
+    for m in range(lo, deg + 1):
+        inner = Fraction(0)
+        for k in range(m + 1):
+            A = seq.value(m, k)
+            if A:
+                inner = inner + weights[k] * A
+        if inner:
+            total = total + outer(m) * inner
     return total
 
 
 def _weighted_sum(mode: str, deg: int, weight: Callable[[int], object],
                   at_zero: bool = False, shift: int = 2):
-    """sum_m outer(m) sum_k weight(k) A(m, k), the sum every family is
-    built from, over 1/(j+shift) (plain) or 1/(j+shift)! (tilde).
+    """The double sum over 1/(j+shift) (plain) or 1/(j+shift)! (tilde),
+    with the inner weights weight(k) and the v-dependent outer weights.
 
     Only the m = deg term survives at v = 0; ``at_zero`` keeps just that
     one, equal to the family's value at v = 0.
@@ -70,13 +77,9 @@ def _weighted_sum(mode: str, deg: int, weight: Callable[[int], object],
     if deg < 0:
         raise ValueError("index must be nonnegative")
     seq = harmonic(shift) if mode == "plain" else inv_factorial(shift)
-    weights = [weight(k) for k in range(deg + 1)]
-    total = PolyV()
-    for m in range(deg if at_zero else 0, deg + 1):
-        inner = _inner_sum(m, seq, weights)
-        if inner:
-            total = total + _outer_weight(mode, m, deg) * inner
-    return total
+    return _double_sum(deg, seq, [weight(k) for k in range(deg + 1)],
+                       lambda m: _outer_weight(mode, m, deg),
+                       deg if at_zero else 0)
 
 
 def _double_factorial_weight(base: int) -> Callable[[int], Fraction]:
@@ -148,35 +151,25 @@ def tau(r: int) -> PolyV:
 
 
 @lru_cache(maxsize=None)
-def _gamma_reciprocal(m: int, at_zero: bool):
-    """[x^m] 1/(1 + gamma_1 x + gamma_2 x^2 + ...), over PolyV or at v = 0.
-
-    The reciprocal-series recurrence I_0 = 1,
-    I_m = -sum_{j=1..m} gamma_j I_(m-j) (Knuth, TAOCP vol. 2, 4.7).
-    """
-    if m == 0:
-        return Fraction(1) if at_zero else PolyV.const(1)
-    gamma = gamma_zero if at_zero else gamma_coeff
-    return -sum(gamma(j) * _gamma_reciprocal(m - j, at_zero)
-                for j in range(1, m + 1))
-
-
-@lru_cache(maxsize=None)
 def _psi_sum(r: int, at_zero: bool):
-    """psi_r = sum_m tau_(r-m) I_m, by series inversion of the gamma series."""
+    """psi_r = tau_r - sum_(m<r) gamma_(r-m) psi_m: tau divided by the gamma
+    series, exact since gamma_0 = 1.  m runs upward, so a cold call finds
+    each psi_m memoized instead of recursing r deep."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    tau_ = tau_zero if at_zero else tau
-    return sum(tau_(r - m) * _gamma_reciprocal(m, at_zero)
-               for m in range(r + 1))
+    tau_, gamma = (tau_zero, gamma_zero) if at_zero else (tau, gamma_coeff)
+    total = tau_(r)
+    for m in range(r):
+        total = total - gamma(r - m) * _psi_sum(m, at_zero)
+    return total
 
 
 def psi(r: int) -> PolyV:
     """Exponential-integral companion coefficient psi_r(v).
 
-    Assembled by series inversion: psi_r = sum_m tau_{r-m} * I_m where I_m
-    are the coefficients of 1/(1 + gamma_1 x + gamma_2 x^2 + ...) over the
-    polynomial ring in v.  psi(0) == -1/3 - v and psi(1)(0) == 4/135.
+    The series quotient tau / (1 + gamma_1 x + gamma_2 x^2 + ...) over the
+    polynomial ring in v, by the division psi_r = tau_r - sum_(m<r)
+    gamma_(r-m) psi_m.  psi(0) == -1/3 - v and psi(1)(0) == 4/135.
     """
     return _psi_sum(r, False)
 
@@ -201,7 +194,8 @@ def tau_zero(r: int) -> Fraction:
 
 
 def psi_zero(r: int) -> Fraction:
-    """psi_r(0) via the same inversion as psi, specialized to v = 0."""
+    """psi_r(0) by the same series division as psi, over the v = 0 values
+    tau_r(0) and gamma_r(0)."""
     return _psi_sum(r, True)
 
 
@@ -371,10 +365,7 @@ def alpha_s(data: SaddleData, s: int) -> SaddleCoefficient:
     if data.mu < 1:
         raise ValueError("mu must be a positive integer")
     expo = Fraction(-(s + Fraction(data.a)), data.mu)
-    weights = [binomial(expo, j) for j in range(s + 1)]
-    total = Fraction(0)
-    for m in range(s + 1):
-        inner = _inner_sum(m, data._ratio, weights)
-        if inner:
-            total = total + data.q(s - m) * inner
+    total = _double_sum(s, data._ratio,
+                        [binomial(expo, j) for j in range(s + 1)],
+                        lambda m: data.q(s - m))
     return SaddleCoefficient(data.p(0), expo, Fraction(1, data.mu) * total)

@@ -64,24 +64,18 @@ class CoeffSequence:
     def value(self, n: int, k: int):
         """A(n, k) for n >= k (``demoivre`` settles the other cases).
 
-        Extending the degree reuses previous rows: the truncated
-        convolution at degree m only reads lower-degree entries.
+        Grows each row kk <= k to degree n from row kk - 1, keeping what it
+        holds: the convolution at degree m reads lower degrees only.
         """
-        old_n = len(self.rows[0]) - 1
-        if n > old_n:
-            while len(self.a) <= n:
-                self.a.append(self.term(len(self.a)))
-            self.rows[0].extend([_ZERO] * (n - old_n))
-            for kk in range(1, len(self.rows)):
-                prev, row = self.rows[kk - 1], self.rows[kk]
-                for m in range(old_n + 1, n + 1):
-                    row.append(self._conv(prev, m, kk))
-        top = len(self.rows[0]) - 1
-        while len(self.rows) <= k:
-            kk = len(self.rows)
-            prev = self.rows[kk - 1]
-            self.rows.append([self._conv(prev, m, kk) for m in range(top + 1)])
-        return self.rows[k][n]
+        while len(self.a) <= n:
+            self.a.append(self.term(len(self.a)))
+        rows = self.rows
+        rows[0].extend([_ZERO] * (n + 1 - len(rows[0])))
+        rows.extend([] for _ in range(k + 1 - len(rows)))
+        for kk in range(1, k + 1):
+            prev, row = rows[kk - 1], rows[kk]
+            row.extend(self._conv(prev, m, kk) for m in range(len(row), n + 1))
+        return rows[k][n]
 
 
 class _Library(CoeffSequence):

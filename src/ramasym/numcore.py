@@ -2,14 +2,14 @@
 arbitrary-precision floats.
 
 Every exact quantity in this package is built on :class:`fractions.Fraction`
-(re-exported here as ``Rational``) or on :class:`GaussianRational`, a complex
-number with rational real and imaginary parts.  :class:`RingOps` writes the
-operators every exact ring type derives from its own coercion, sum,
-negation and product once: the reflected sum and product, subtraction, and
-integer powers by squaring.  Approximate quantities go
-through mpmath, but only via :func:`verified_eval`, which evaluates each
-requested expression at two working precisions (p and p + 64 bits) and only
-releases a result once the two runs agree to the caller's tolerance.
+or on :class:`GaussianRational`, a complex number with rational real and
+imaginary parts.  :class:`RingOps` writes the operators every exact ring
+type derives from its own coercion, sum, negation and product once: the
+reflected sum and product, subtraction, and integer powers by squaring.
+Approximate quantities go through mpmath, but only via
+:func:`verified_eval`, which evaluates each requested expression at two
+working precisions (p and p + 64 bits) and only releases a result once the
+two runs agree to the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp
-
-Rational = Fraction
 
 
 class PrecisionError(ArithmeticError):

@@ -416,6 +416,8 @@ UNREAD = [
       for s in ("identities", "conjecture", "convergence", "regions", "all")),
     (["coeff", "rho", "--symbolic"], "--symbolic"),
     (["coeff", "U", "--symbolic"], "--symbolic"),
+    (["coeff", "rho", "--upto", "1", "--r", "5"], "--r"),
+    (["coeff", "psi", "--r", "0", "--upto", "1"], "--upto"),
 ]
 
 

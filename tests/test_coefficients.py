@@ -1,8 +1,11 @@
 """Coefficient families: frozen values, recurrences, duals, saddle engine."""
 
 import gc
+import inspect
+import sys
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -10,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from ramasym import checks
+from ramasym import coefficients as cf
 from ramasym.coefficients import (SaddleData, U_coeff, alpha_s, beta,
                                   check_conjecture, gamma_coeff, gamma_zero,
                                   psi, psi_zero, rho, rho_zero, tau, tau_zero)
+from ramasym.demoivre import clear_caches
 from ramasym.numcore import GaussianRational
 from ramasym.polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
 
@@ -218,6 +224,44 @@ class TestConjecture:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_conjecture(-1)
+
+
+class TestPsiDivision:
+    def test_cold_calls_recurse_one_index_at_a_time(self):
+        # summing psi_m in increasing m finds every lower index memoized;
+        # highest index first would recurse r deep and overflow this limit
+        clear_caches()
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            psi_zero(60)
+            psi(12)
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_ledger_catches_a_wrong_recurrence(self, monkeypatch):
+        @lru_cache(maxsize=None)
+        def dropped_m0(r, at_zero):
+            """The series division without its m = 0 term from r = 4 on."""
+            tau_, gamma = ((cf.tau_zero, cf.gamma_zero) if at_zero
+                           else (cf.tau, cf.gamma_coeff))
+            total = tau_(r)
+            for m in range(1 if r >= 4 else 0, r):
+                total = total - gamma(r - m) * dropped_m0(m, at_zero)
+            return total
+
+        monkeypatch.setattr(cf, "_psi_sum", dropped_m0)
+        clear_caches()
+        try:
+            ok = {c.item: c.ok for c in checks.check_identities()
+                  + checks.check_conjecture_range(10)
+                  + checks.check_frozen_values()}
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert not ok["psi-inversion-vs-demoivre"]
+        assert not ok["conjecture-psi-rho-sign-r10"]
+        assert ok["frozen-psi-at-zero"] and ok["frozen-psi-polynomials"]
 
 
 class TestSaddle:
