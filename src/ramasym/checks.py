@@ -7,6 +7,16 @@ convergence orders, and the w-plane region partition) is represented here
 as a named check returning a CheckResult.  The CLI ``verify`` subcommand
 and the acceptance test suite both run these; they are the single source
 of truth for what "verified" means.
+
+Each kind of check is written once, and its lines share that code:
+  - a family against a frozen table (``check_frozen_values``);
+  - the recurrence X_r = X~_r + v X~_(r-1) for rho, gamma and U;
+  - the v = 0 sums via 1/j and via 1/j! for gamma and rho;
+  - Stirling cycle and subset numbers from second-order Eulerian rows;
+  - a route against a fresh convolution triangle (``_vs_convolution``);
+  - gamma_j(0) and rho_j(0) from min-size-3 counts (``_min3_sum``).
+Families (``cf.*``) and combinatorial routes are looked up when a check
+runs, so a patched primitive reaches every line that reads it.
 """
 
 from __future__ import annotations
@@ -99,30 +109,19 @@ def _frozen_u():
 
 def check_frozen_values() -> list:
     """Reference values of rho, psi, and U at small index, exactly."""
-    out = []
-    out.append(_all_equal(
-        "frozen-rho-at-zero",
-        ((cf.rho_zero(r), _RHO_ZERO_FROZEN[r], f"r={r}") for r in range(5)),
-        "rho_r(0) for r <= 4"))
-    out.append(_all_equal(
-        "frozen-rho-polynomials",
-        ((cf.rho(r), p, f"r={r}")
-         for r, p in enumerate(_frozen_rho_polys())),
-        "rho_r(v) for r <= 2"))
-    out.append(_all_equal(
-        "frozen-psi-at-zero",
-        ((cf.psi_zero(r), _PSI_ZERO_FROZEN[r], f"r={r}") for r in range(3)),
-        "psi_r(0) for r <= 2"))
-    out.append(_all_equal(
-        "frozen-psi-polynomials",
-        ((cf.psi(r), p, f"r={r}")
-         for r, p in enumerate(_frozen_psi_polys())),
-        "psi_r(v) for r <= 2"))
-    out.append(_all_equal(
-        "frozen-u-rational-functions",
-        ((cf.U_coeff(r), u, f"r={r}") for r, u in enumerate(_frozen_u())),
-        "U_r(w;v) for r <= 2"))
-    return out
+    return [_all_equal(
+        item, ((family(r), want, f"r={r}") for r, want in enumerate(table)),
+        text) for item, family, table, text in (
+            ("frozen-rho-at-zero", cf.rho_zero, _RHO_ZERO_FROZEN,
+             "rho_r(0) for r <= 4"),
+            ("frozen-rho-polynomials", cf.rho, _frozen_rho_polys(),
+             "rho_r(v) for r <= 2"),
+            ("frozen-psi-at-zero", cf.psi_zero, _PSI_ZERO_FROZEN,
+             "psi_r(0) for r <= 2"),
+            ("frozen-psi-polynomials", cf.psi, _frozen_psi_polys(),
+             "psi_r(v) for r <= 2"),
+            ("frozen-u-rational-functions", cf.U_coeff, _frozen_u(),
+             "U_r(w;v) for r <= 2"))]
 
 
 # ---------------------------------------------------------------------------
@@ -131,37 +130,21 @@ def check_frozen_values() -> list:
 
 def check_dual_forms(max_r: int = 25, max_r_u: int = 15) -> list:
     """Plain/tilde recurrences and the equal-value dual sums."""
-    out = []
-    out.append(_all_equal(
-        "dual-rho-recurrence",
-        ((cf.rho(r),
-          cf.rho(r, "tilde") + (_V * cf.rho(r - 1, "tilde") if r else 0),
-          f"r={r}") for r in range(max_r + 1)),
-        f"rho_r = rho~_r + v rho~_(r-1) for r <= {max_r}"))
-    out.append(_all_equal(
-        "dual-gamma-recurrence",
-        ((cf.gamma_coeff(r),
-          cf.gamma_coeff(r, "tilde")
-          + (_V * cf.gamma_coeff(r - 1, "tilde") if r else 0),
-          f"r={r}") for r in range(max_r + 1)),
-        f"gamma_r = gamma~_r + v gamma~_(r-1) for r <= {max_r}"))
-    out.append(_all_equal(
-        "dual-u-recurrence",
-        ((cf.U_coeff(r),
-          cf.U_coeff(r, "tilde")
-          + (cf.U_coeff(r - 1, "tilde") * _V if r else 0),
-          f"r={r}") for r in range(max_r_u + 1)),
-        f"U_r = U~_r + v U~_(r-1) for r <= {max_r_u}"))
-    out.append(_all_equal(
-        "dual-gamma-scalar-sums",
-        ((cf.gamma_zero(r, "plain"), cf.gamma_zero(r, "tilde"), f"r={r}")
+    out = [_all_equal(
+        f"dual-{name.lower()}-recurrence",
+        ((family(r),
+          family(r, "tilde") + (family(r - 1, "tilde") * _V if r else 0),
+          f"r={r}") for r in range(top + 1)),
+        f"{name}_r = {name}~_r + v {name}~_(r-1) for r <= {top}")
+        for name, family, top in (("rho", cf.rho, max_r),
+                                  ("gamma", cf.gamma_coeff, max_r),
+                                  ("U", cf.U_coeff, max_r_u))]
+    out += [_all_equal(
+        f"dual-{name}-scalar-sums",
+        ((zero(r, "plain"), zero(r, "tilde"), f"r={r}")
          for r in range(max_r + 1)),
-        f"gamma_r(0) via 1/j equals via 1/j! for r <= {max_r}"))
-    out.append(_all_equal(
-        "dual-rho-scalar-sums",
-        ((cf.rho_zero(r, "plain"), cf.rho_zero(r, "tilde"), f"r={r}")
-         for r in range(max_r + 1)),
-        f"rho_r(0) via 1/j equals via 1/j! for r <= {max_r}"))
+        f"{name}_r(0) via 1/j equals via 1/j! for r <= {max_r}")
+        for name, zero in (("gamma", cf.gamma_zero), ("rho", cf.rho_zero))]
 
     def u_mode_pairs():
         for r in range(max_r_u + 1):
@@ -206,41 +189,47 @@ def _psi_by_demoivre(r: int, gammas: CoeffSequence) -> PolyV:
                 for m in range(r + 1) for k in range(m + 1)), PolyV())
 
 
+def _vs_convolution(seq: CoeffSequence, top: int, kmax: int, label: str,
+                    route: Callable, *args) -> Iterable:
+    """Yield (route(n, k, *args), A(n, k; seq) from a fresh convolution
+    triangle, where) for n <= top and k <= min(n, kmax)."""
+    conv = convolution(seq)
+    for n in range(top + 1):
+        for k in range(min(n, kmax) + 1):
+            yield route(n, k, *args), demoivre(n, k, conv), \
+                f"{label} n={n} k={k}"
+
+
+def _min3_sum(kind: str, n: int) -> Fraction:
+    """sum_k (-1)^k T(n+2k, k)/(n+2k)!! over the associated Stirling
+    numbers T of ``kind`` with every block or cycle of size >= 3."""
+    return sum(Fraction((-1) ** k, double_factorial(n + 2 * k))
+               * stirling_associated(kind, n + 2 * k, k, 3)
+               for k in range(n + 1))
+
+
 def check_identities(max_n: int = 12) -> list:
     """The combinatorial ledger grounding the De Moivre machinery."""
-    out = []
-
-    out.append(_all_equal(
-        "eulerian2-to-stirling-cycle",
-        ((stirling("cycle", r + j, j),
-          sum(eulerian2(r, k) * binomial(r + j + k, 2 * r)
+    out = [_all_equal(
+        f"eulerian2-to-stirling-{kind}",
+        ((stirling(kind, r + j, j),
+          sum(eulerian2(r, k) * binomial(top(r, j, k), 2 * r)
               for k in range(r + 1)), f"r={r} j={j}")
          for r in range(11) for j in range(11)),
-        "cycle numbers from second-order Eulerian rows"))
-    out.append(_all_equal(
-        "eulerian2-to-stirling-subset",
-        ((stirling("subset", r + j, j),
-          sum(eulerian2(r, k) * binomial(2 * r + j - 1 - k, 2 * r)
-              for k in range(r + 1)), f"r={r} j={j}")
-         for r in range(11) for j in range(11)),
-        "subset numbers from second-order Eulerian rows"))
+        f"{kind} numbers from second-order Eulerian rows")
+        for kind, top in (("cycle", lambda r, j, k: r + j + k),
+                          ("subset", lambda r, j, k: 2 * r + j - 1 - k))]
     out.append(_all_equal(
         "eulerian2-row-sums",
         ((sum(eulerian2(n, k) for k in range(max(n, 1))),
           double_factorial(2 * n - 1), f"n={n}") for n in range(11)),
         "row sums equal odd double factorials"))
 
-    def closed_pairs():
-        for mode, seq in CLOSED_FORM_SEQUENCES.items():
-            conv = convolution(seq)
-            for n in range(max_n + 1):
-                for k in range(n + 1):
-                    yield special_closed_forms(n, k, mode), \
-                        demoivre(n, k, conv), \
-                        f"{mode} n={n} k={k}"
-
     out.append(_all_equal(
-        "closed-forms-vs-convolution", closed_pairs(),
+        "closed-forms-vs-convolution",
+        (pair for mode, seq in CLOSED_FORM_SEQUENCES.items()
+         for pair in _vs_convolution(seq, max_n, max_n, mode,
+                                     special_closed_forms, mode)),
         f"all closed-form modes match the convolution for n <= {max_n}"))
 
     prev_factorial = inv_factorial(-1)
@@ -270,20 +259,14 @@ def check_identities(max_n: int = 12) -> list:
         "leading-zeros-shift", shift_pairs(),
         "padding with leading zeros shifts the order index"))
 
-    def strip_pairs():
-        for r in (1, 2, 3):
-            for base, shifted, name in (
-                    (harmonic(0), harmonic(r), "cycle"),
-                    (inv_factorial(0), inv_factorial(r), "subset")):
-                conv = convolution(shifted)
-                for n in range(max_n + 1):
-                    for k in range(min(n, 6) + 1):
-                        yield strip_r(n, k, r, base), \
-                            demoivre(n, k, conv), \
-                            f"{name} r={r} n={n} k={k}"
-
     out.append(_all_equal(
-        "strip-leading-terms", strip_pairs(),
+        "strip-leading-terms",
+        (pair for r in (1, 2, 3)
+         for base, shifted, name in (
+             (harmonic(0), harmonic(r), "cycle"),
+             (inv_factorial(0), inv_factorial(r), "subset"))
+         for pair in _vs_convolution(shifted, max_n, 6, f"{name} r={r}",
+                                     strip_r, r, base)),
         "binomial/multinomial strips equal the shifted-sequence values"))
 
     def assoc_pairs():
@@ -300,17 +283,11 @@ def check_identities(max_n: int = 12) -> list:
         "associated-Stirling recurrence matches exhaustive counts "
         "for n <= 10"))
 
-    def recurrence_pairs():
-        for s in range(4):
-            for seq in (harmonic(s), inv_factorial(s)):
-                conv = convolution(seq)
-                for n in range(31):
-                    for k in range(n + 1):
-                        yield demoivre(n, k, seq), demoivre(n, k, conv), \
-                            f"{seq.kind} s={s} n={n} k={k}"
-
     out.append(_all_equal(
-        "associated-recurrence-vs-convolution", recurrence_pairs(),
+        "associated-recurrence-vs-convolution",
+        (pair for s in range(4) for seq in (harmonic(s), inv_factorial(s))
+         for pair in _vs_convolution(seq, 30, 30, f"{seq.kind} s={s}",
+                                     demoivre, seq)),
         "integer-row triangles of 1/(j+s) and 1/(j+s)! equal the "
         "convolution for s <= 3, n <= 30"))
 
@@ -332,36 +309,19 @@ def check_identities(max_n: int = 12) -> list:
          for r in range(1, 11) for j in range(r)),
         "second-order Eulerian numbers from the 1/(j+1)! polynomials"))
 
-    def gamma_assoc(kind):
-        for j in range(11):
-            total = sum(
-                Fraction((-1) ** k, double_factorial(2 * j + 2 * k))
-                * stirling_associated(kind, 2 * j + 2 * k, k, 3)
-                for k in range(2 * j + 1))
-            yield total, cf.gamma_zero(j), f"{kind} j={j}"
-
-    out.append(_all_equal(
-        "gamma-from-associated-cycle", gamma_assoc("cycle"),
-        "gamma_j(0) from min-size-3 cycle counts for j <= 10"))
-    out.append(_all_equal(
-        "gamma-from-associated-subset", gamma_assoc("subset"),
-        "gamma_j(0) from min-size-3 subset counts for j <= 10"))
-
-    out.append(_all_equal(
-        "rho-from-associated-cycle",
-        (((Fraction(1) if j == 0 else Fraction(0)) + sum(
-            Fraction((-1) ** k, double_factorial(2 * j + 2 * k + 1))
-            * stirling_associated("cycle", 2 * j + 2 * k + 1, k, 3)
-            for k in range(2 * j + 2)),
+    out += [_all_equal(
+        f"gamma-from-associated-{kind}",
+        ((_min3_sum(kind, 2 * j), cf.gamma_zero(j), f"{kind} j={j}")
+         for j in range(11)),
+        f"gamma_j(0) from min-size-3 {kind} counts for j <= 10")
+        for kind in ("cycle", "subset")]
+    # rho_j(0) = delta_j0 + (cycle sum) = -(subset sum)
+    out += [_all_equal(
+        f"rho-from-associated-{kind}",
+        ((delta * (j == 0) + sign * _min3_sum(kind, 2 * j + 1),
           cf.rho_zero(j), f"j={j}") for j in range(11)),
-        "rho_j(0) from min-size-3 cycle counts for j <= 10"))
-    out.append(_all_equal(
-        "rho-from-associated-subset",
-        ((-sum(Fraction((-1) ** k, double_factorial(2 * j + 2 * k + 1))
-               * stirling_associated("subset", 2 * j + 2 * k + 1, k, 3)
-               for k in range(2 * j + 2)),
-          cf.rho_zero(j), f"j={j}") for j in range(11)),
-        "rho_j(0) from min-size-3 subset counts for j <= 10"))
+        f"rho_j(0) from min-size-3 {kind} counts for j <= 10")
+        for kind, delta, sign in (("cycle", 1, 1), ("subset", 0, -1))]
 
     gammas = CoeffSequence(cf.gamma_coeff)
     out.append(_all_equal(

@@ -192,14 +192,19 @@ def strip_r(n: int, k: int, r: int, seq: CoeffSequence):
     return total if total is not None else _ZERO
 
 
-# Closed forms for specific shifted harmonic / inverse-factorial sequences.
-# Keyed by what they compute; each has a matching entry in
-# CLOSED_FORM_SEQUENCES giving the sequence it must reproduce.
-_CLOSED_FORM_MODES = (
-    "cycle", "subset",
-    "cycle1", "subset1", "cycle1_eulerian", "subset1_eulerian",
-    "cycle2", "subset1_power", "subset2_power",
-)
+# Closed forms for specific shifted harmonic / inverse-factorial sequences,
+# keyed by mode, each with the sequence it must reproduce.
+CLOSED_FORM_SEQUENCES = {
+    "cycle": harmonic(0),
+    "subset": inv_factorial(0),
+    "cycle1": harmonic(1),
+    "subset1": inv_factorial(1),
+    "cycle1_eulerian": harmonic(1),
+    "subset1_eulerian": inv_factorial(1),
+    "cycle2": harmonic(2),
+    "subset1_power": inv_factorial(1),
+    "subset2_power": inv_factorial(2),
+}
 
 
 def special_closed_forms(n: int, k: int, which: str) -> Fraction:
@@ -216,7 +221,7 @@ def special_closed_forms(n: int, k: int, which: str) -> Fraction:
       subset1_power     1/(j+1)! power sum
       subset2_power     1/(j+2)! power sum
     """
-    if which not in _CLOSED_FORM_MODES:
+    if which not in CLOSED_FORM_SEQUENCES:
         raise ValueError(f"unknown closed form {which!r}")
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
@@ -265,16 +270,3 @@ def special_closed_forms(n: int, k: int, which: str) -> Fraction:
                   * Fraction((-1) ** (j1 + j2 + j3), 2 ** j3)
                   * Fraction(j4 ** e, factorial(e)))
     return total
-
-
-CLOSED_FORM_SEQUENCES = {
-    "cycle": harmonic(0),
-    "subset": inv_factorial(0),
-    "cycle1": harmonic(1),
-    "subset1": inv_factorial(1),
-    "cycle1_eulerian": harmonic(1),
-    "subset1_eulerian": inv_factorial(1),
-    "cycle2": harmonic(2),
-    "subset1_power": inv_factorial(1),
-    "subset2_power": inv_factorial(2),
-}

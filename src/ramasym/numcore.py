@@ -201,25 +201,28 @@ def parse_gaussian(text: str) -> GaussianRational:
     ``"1/2+1/4i"``, ``"1/2-1/3i"``.
     """
     s = text.strip().replace(" ", "")
-    m = re.fullmatch(rf"(?P<re>{_RAT})(?P<sign>[+-])(?P<im>{_URAT})?i", s)
-    if m:
-        mag = Fraction(m.group("im")) if m.group("im") else Fraction(1)
-        if m.group("sign") == "-":
-            mag = -mag
-        return GaussianRational(Fraction(m.group("re")), mag)
-    m = re.fullmatch(rf"(?P<co>{_RAT}|[+-])?i", s)
-    if m:
-        co = m.group("co")
-        if co is None or co == "+":
-            mag = Fraction(1)
-        elif co == "-":
-            mag = Fraction(-1)
-        else:
-            mag = Fraction(co)
-        return GaussianRational(Fraction(0), mag)
-    m = re.fullmatch(_RAT, s)
-    if m:
-        return GaussianRational(Fraction(s), Fraction(0))
+    try:
+        m = re.fullmatch(rf"(?P<re>{_RAT})(?P<sign>[+-])(?P<im>{_URAT})?i", s)
+        if m:
+            mag = Fraction(m.group("im")) if m.group("im") else Fraction(1)
+            if m.group("sign") == "-":
+                mag = -mag
+            return GaussianRational(Fraction(m.group("re")), mag)
+        m = re.fullmatch(rf"(?P<co>{_RAT}|[+-])?i", s)
+        if m:
+            co = m.group("co")
+            if co is None or co == "+":
+                mag = Fraction(1)
+            elif co == "-":
+                mag = Fraction(-1)
+            else:
+                mag = Fraction(co)
+            return GaussianRational(Fraction(0), mag)
+        m = re.fullmatch(_RAT, s)
+        if m:
+            return GaussianRational(Fraction(s), Fraction(0))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"not a Gaussian rational literal: {text!r}") from exc
     raise ValueError(f"not a Gaussian rational literal: {text!r}")
 
 

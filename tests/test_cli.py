@@ -345,6 +345,16 @@ class TestParsingAndEnvironment:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,literal", [
+        (["classify", "--w", "1/0"], "1/0"),
+        (["eval", "S", "--n", "10", "--w", "1/0"], "1/0"),
+        (["oracle", "T", "--n", "5", "--w", "1/2+1/0i"], "1/2+1/0i"),
+    ])
+    def test_zero_denominator_names_the_literal(self, capsys, argv, literal):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"not a Gaussian rational literal: '{literal}'" in err
+
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(ramasym.__file__).resolve().parents[1])
         env = dict(os.environ)

@@ -1,4 +1,5 @@
-"""The demos that read the exact coefficient routes run clean."""
+"""Every demo but the ledger walk-through (which reruns the whole ledger)
+runs clean."""
 
 import os
 import subprocess
@@ -11,7 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["coefficient_tables.py",
-                                  "sign_conjecture_scan.py"])
+                                  "sign_conjecture_scan.py",
+                                  "w_plane_regions.py",
+                                  "expansion_accuracy.py"])
 def test_demo_runs_clean(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -1,0 +1,91 @@
+"""Each shared ledger pattern still fails when one value it reads is wrong.
+
+A case wraps one primitive so that it returns a value off by 10^-9 (by 1
+for an integer route) at one key and is exact everywhere else, runs one
+suite, and asserts exactly which lines fail.  Families are mutated in
+``ramasym.coefficients``, where the ledger reads them through ``cf.*``;
+combinatorial routes in ``ramasym.checks``, where it reads them by name.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from ramasym import checks
+from ramasym import coefficients as cf
+from ramasym.demoivre import clear_caches
+
+TINY = Fraction(1, 10 ** 9)
+
+
+def fast():
+    return checks.check_frozen_values() \
+        + checks.check_dual_forms(max_r=8, max_r_u=6)
+
+
+def ident():
+    return checks.check_identities()
+
+
+def fast_and_ident():
+    return fast() + ident()
+
+
+# (module, attribute, key, error, suite, failing lines); a key matches the
+# leading positional arguments of a call
+FAMILIES = [
+    (cf, "_psi_sum", (1, True), TINY, fast, {"frozen-psi-at-zero"}),
+    (cf, "_rho_sum", (3, "tilde", False), TINY, fast,
+     {"dual-rho-recurrence"}),
+    (cf, "_gamma_sum", (4, "tilde", True), TINY, fast,
+     {"dual-gamma-scalar-sums"}),
+    (cf, "_U_coeff", (2, "tilde", None), TINY, fast, {"dual-u-recurrence"}),
+    (cf, "_rho_sum", (2, "plain", True), TINY, fast_and_ident,
+     {"dual-rho-scalar-sums", "frozen-rho-at-zero",
+      "rho-from-associated-cycle", "rho-from-associated-subset"}),
+]
+ROUTES = [
+    (checks, "special_closed_forms", (5, 2, "cycle2"), TINY, ident,
+     {"closed-forms-vs-convolution"}),
+    (checks, "strip_r", (7, 3, 2), TINY, ident, {"strip-leading-terms"}),
+    (checks, "stirling_associated", ("subset", 8, 2, 3), 1, ident,
+     {"associated-stirling-vs-enumeration", "gamma-from-associated-subset"}),
+    (checks, "eulerian2", (5, 2), 1, ident,
+     {"eulerian2-recovered-factorial", "eulerian2-recovered-harmonic",
+      "eulerian2-row-sums", "eulerian2-to-stirling-cycle",
+      "eulerian2-to-stirling-subset"}),
+]
+
+
+def _case_id(case):
+    return f"{case[1].lstrip('_')}{list(case[2])}"
+
+
+def _failing(monkeypatch, module, name, key, error, suite):
+    exact = getattr(module, name)
+
+    def off_at_key(*args):
+        value = exact(*args)
+        return value + error if args[:len(key)] == key else value
+
+    monkeypatch.setattr(module, name, off_at_key)
+    try:
+        return {c.item for c in suite() if not c.ok}
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", FAMILIES, ids=_case_id)
+def test_a_wrong_family_value_fails_its_lines(monkeypatch, case):
+    module, name, key, error, suite, want = case
+    clear_caches()
+    try:
+        assert _failing(monkeypatch, module, name, key, error, suite) == want
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("case", ROUTES, ids=_case_id)
+def test_a_wrong_route_value_fails_its_lines(monkeypatch, case):
+    module, name, key, error, suite, want = case
+    assert _failing(monkeypatch, module, name, key, error, suite) == want

@@ -103,7 +103,8 @@ class TestParseGaussian:
         assert parse_gaussian(str(g)) == g
 
     def test_rejects_garbage(self):
-        for bad in ("", "1+2", "i+1", "1/2+1/3j", "2i3", "ii"):
+        for bad in ("", "1+2", "i+1", "1/2+1/3j", "2i3", "ii",
+                    "1/0", "1/0i", "1/2+1/0i"):
             with pytest.raises(ValueError):
                 parse_gaussian(bad)
 
