@@ -9,8 +9,8 @@ in any route would flag a transcription or arithmetic error.
 from fractions import Fraction
 from math import factorial
 
-from ramasym import (double_factorial, gamma_coeff, run_identity_suite,
-                     stirling_associated)
+from ramasym import double_factorial, gamma_coeff, stirling_associated
+from ramasym.checks import run_identity_suite
 
 
 def main():

@@ -9,20 +9,19 @@ coefficient families that appear in the large-n expansions of
 * the factorial-ratio tail sum driven by the exponential integral,
 
 together with verified floating evaluation (every float is computed twice
-at staggered precisions and must agree to the requested digits), a region
-classifier for the complex parameter ``w``, and a self-checking ledger of
+at staggered precisions and must agree to the requested digits) and a region
+classifier for the complex parameter ``w``.  The self-checking ledger of
 combinatorial identities that ties every family to an independent
-derivation.
+derivation is ``ramasym.checks``; importing the package does not load it.
 """
 
 from .numcore import (GaussianRational, PrecisionError, format_bigfloat,
                       format_rational, parse_gaussian, parse_rational, to_mp,
                       verified_eval)
 from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
-from .demoivre import (CoeffSequence, clear_caches, harmonic, inv_factorial,
-                       special_closed_forms, strip_r)
-from .combinat import (binomial, double_factorial, enumerate_oracle,
-                       eulerian2, stirling, stirling_associated)
+from .demoivre import CoeffSequence, clear_caches, harmonic, inv_factorial
+from .combinat import (binomial, double_factorial, eulerian2, stirling,
+                       stirling_associated)
 from .coefficients import (ConjectureReport, ConjectureRow, SaddleCoefficient,
                            SaddleData, U_coeff, alpha_s, beta,
                            check_conjecture, gamma_coeff, gamma_zero, psi,
@@ -33,25 +32,21 @@ from .asymptotics import (CurvePoint, ExpansionResult, RegionLabel,
                           psi_expansion, szego_curve, theta_expansion)
 from .oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
                      oracle_psi, oracle_theta)
-from .checks import (CheckResult, ProbeRow, convergence_probe, run_all,
-                     run_identity_suite)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "CoeffSequence", "ConjectureReport", "ConjectureRow",
-    "CurvePoint", "ExpansionResult", "GaussianRational", "PolyV", "PolyW",
-    "PrecisionError", "ProbeRow", "RationalFnW", "RegionLabel",
-    "S_expansion", "SaddleCoefficient", "SaddleData", "Sqrt2Scaled",
-    "T_expansion", "U_coeff", "alpha_s", "beta", "binomial", "binomial_poly",
-    "check_conjecture", "classify", "clear_caches", "convergence_probe",
-    "double_factorial", "enumerate_oracle", "eulerian2",
-    "format_bigfloat", "format_rational", "gamma_coeff", "gamma_expansion",
-    "gamma_zero", "harmonic", "inv_factorial", "lambert_w_recip_e",
-    "oracle_Ei", "oracle_S", "oracle_T", "oracle_factorial", "oracle_psi",
-    "oracle_theta", "parse_gaussian", "parse_rational", "phi", "psi",
-    "psi_expansion", "psi_zero", "rho", "rho_zero", "run_all",
-    "run_identity_suite", "special_closed_forms", "stirling",
-    "stirling_associated", "strip_r", "szego_curve", "tau", "tau_zero",
-    "theta_expansion", "to_mp", "verified_eval",
+    "CoeffSequence", "ConjectureReport", "ConjectureRow", "CurvePoint",
+    "ExpansionResult", "GaussianRational", "PolyV", "PolyW", "PrecisionError",
+    "RationalFnW", "RegionLabel", "S_expansion", "SaddleCoefficient",
+    "SaddleData", "Sqrt2Scaled", "T_expansion", "U_coeff", "alpha_s", "beta",
+    "binomial", "binomial_poly", "check_conjecture", "classify",
+    "clear_caches", "double_factorial", "eulerian2", "format_bigfloat",
+    "format_rational", "gamma_coeff", "gamma_expansion", "gamma_zero",
+    "harmonic", "inv_factorial", "lambert_w_recip_e", "oracle_Ei", "oracle_S",
+    "oracle_T", "oracle_factorial", "oracle_psi", "oracle_theta",
+    "parse_gaussian", "parse_rational", "phi", "psi", "psi_expansion",
+    "psi_zero", "rho", "rho_zero", "stirling", "stirling_associated",
+    "szego_curve", "tau", "tau_zero", "theta_expansion", "to_mp",
+    "verified_eval",
 ]

@@ -17,6 +17,10 @@ Each kind of check is written once, and its lines share that code:
   - gamma_j(0) and rho_j(0) from min-size-3 counts (``_min3_sum``).
 Families (``cf.*``) and combinatorial routes are looked up when a check
 runs, so a patched primitive reaches every line that reads it.
+
+The routes only the ledger reads (closed forms, strips, fresh convolution
+triangles, exhaustive counts) live here too, so the engine modules hold only
+what ``coeff`` and ``eval`` reach; ``import ramasym`` does not load this.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from mpmath import mp
@@ -33,11 +38,9 @@ from . import coefficients as cf
 from .asymptotics import (S_expansion, T_expansion, classify,
                           gamma_expansion, phi, psi_expansion, szego_curve,
                           theta_expansion)
-from .combinat import (binomial, double_factorial, enumerate_oracle,
-                       eulerian2, stirling, stirling_associated)
-from .demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence, convolution,
-                       demoivre, harmonic, inv_factorial,
-                       special_closed_forms, strip_r)
+from .combinat import (_KINDS, binomial, double_factorial, eulerian2,
+                       stirling, stirling_associated)
+from .demoivre import CoeffSequence, demoivre, harmonic, inv_factorial
 from .numcore import GaussianRational, to_mp
 from .oracle import (oracle_S, oracle_T, oracle_factorial, oracle_psi,
                      oracle_theta)
@@ -169,6 +172,191 @@ def check_dual_forms(max_r: int = 25, max_r_u: int = 15) -> list:
         "dual-u-taylor-sections", taylor_pairs(),
         f"series mode matches Taylor sections for r <= {max_r_u}, 16 terms"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# routes only the ledger reads
+# ---------------------------------------------------------------------------
+
+def convolution(seq: CoeffSequence) -> CoeffSequence:
+    """The same terms as a new plain sequence, so its triangle is built
+    afresh by the ring-generic convolution on every call: the independent
+    side of the checks on the integer route."""
+    return CoeffSequence(seq.term)
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _multinomial(k: int, js) -> int:
+    out = factorial(k)
+    for j in js:
+        out //= factorial(j)
+    return out
+
+
+def strip_r(n: int, k: int, r: int, seq: CoeffSequence):
+    """A(n, k) for the r-fold shifted sequence a_{r+1}, a_{r+2}, ...
+
+    Multinomial sum over (j_1, ..., j_{r+1}) with sum k:
+        multinom * prod_i (-a_i)^{j_i} * A(n + J + r j_{r+1}, j_{r+1}; a),
+    J = (r-1) j_1 + (r-2) j_2 + ... + 1 * j_{r-1}.
+    """
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if n < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+    a = [None] + [seq(i) for i in range(1, r + 1)]
+    total = Fraction(0)
+    for js in _compositions(k, r + 1):
+        jlast = js[-1]
+        J = sum((r - 1 - i) * js[i] for i in range(r - 1))
+        A = demoivre(n + J + r * jlast, jlast, seq)
+        if not A:
+            continue
+        t = Fraction(_multinomial(k, js)) * A
+        for i in range(r):
+            if js[i]:
+                t = t * (-a[i + 1]) ** js[i]
+        total += t
+    return total
+
+
+# Closed forms for specific shifted harmonic / inverse-factorial sequences,
+# keyed by mode, each with the sequence it must reproduce.
+CLOSED_FORM_SEQUENCES = {
+    "cycle": harmonic(0),
+    "subset": inv_factorial(0),
+    "cycle1": harmonic(1),
+    "subset1": inv_factorial(1),
+    "cycle1_eulerian": harmonic(1),
+    "subset1_eulerian": inv_factorial(1),
+    "cycle2": harmonic(2),
+    "subset1_power": inv_factorial(1),
+    "subset2_power": inv_factorial(2),
+}
+
+
+def special_closed_forms(n: int, k: int, which: str) -> Fraction:
+    """Evaluate A(n, k) for a library sequence from combinatorial numbers.
+
+    Modes (sequence -> formula source):
+      cycle             1/j      from Stirling cycle numbers
+      subset            1/j!     from Stirling subset numbers
+      cycle1            1/(j+1)  alternating binomial-cycle sum
+      subset1           1/(j+1)! alternating binomial-subset sum
+      cycle1_eulerian   1/(j+1)  second-order Eulerian sum
+      subset1_eulerian  1/(j+1)! second-order Eulerian sum
+      cycle2            1/(j+2)  three-part multinomial cycle sum
+      subset1_power     1/(j+1)! power sum
+      subset2_power     1/(j+2)! power sum
+    """
+    if which not in CLOSED_FORM_SEQUENCES:
+        raise ValueError(f"unknown closed form {which!r}")
+    if n < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+
+    if which in _KINDS:
+        return Fraction(factorial(k), factorial(n)) * stirling(which, n, k)
+    if which in ("cycle1", "subset1"):
+        kind = "cycle" if which == "cycle1" else "subset"
+        s = sum((-1) ** (k - j) * comb(n + k, n + j) * stirling(kind, n + j, j)
+                for j in range(k + 1))
+        return Fraction(factorial(k), factorial(n + k)) * s
+    if which == "cycle1_eulerian":
+        s = sum(eulerian2(n, j) * binomial(j, n - k)
+                for j in range(n + 1))
+        return Fraction(factorial(k), factorial(n + k)) * s
+    if which == "subset1_eulerian":
+        s = sum(eulerian2(n, j) * binomial(n - 1 - j, n - k)
+                for j in range(n + 1))
+        return Fraction(factorial(k), factorial(n + k)) * s
+    if which == "cycle2":
+        total = Fraction(0)
+        for j1, j2, j3 in _compositions(k, 3):
+            m = n + j2 + 2 * j3
+            st = stirling("cycle", m, j3)
+            if st:
+                total += (Fraction((-1) ** (j1 + j2), 2 ** j1)
+                          * Fraction(factorial(k),
+                                     factorial(j1) * factorial(j2) * factorial(m))
+                          * st)
+        return total
+    if which == "subset1_power":
+        total = Fraction(0)
+        for j1, j2, j3 in _compositions(k, 3):
+            e = n + j1 + j3
+            total += (Fraction(_multinomial(k, (j1, j2, j3)))
+                      * (-1) ** (j1 + j2)
+                      * Fraction(j3 ** e, factorial(e)))
+        return total
+    # subset2_power
+    total = Fraction(0)
+    for j1, j2, j3, j4 in _compositions(k, 4):
+        e = n + 2 * j1 + j2 + 2 * j4
+        total += (Fraction(_multinomial(k, (j1, j2, j3, j4)))
+                  * Fraction((-1) ** (j1 + j2 + j3), 2 ** j3)
+                  * Fraction(j4 ** e, factorial(e)))
+    return total
+
+
+_ENUM_CAP = 12
+
+
+@lru_cache(maxsize=None)
+def _partition_census(n: int):
+    """Exhaustive walk over set partitions of {0..n-1}.
+
+    Returns {(blocks, min_block_size): (partition_count, cycle_count)} where
+    cycle_count weights each partition by prod (size-1)!, the number of ways
+    to arrange each block into a cycle.
+    """
+    counts: dict[tuple[int, int], list[int]] = {}
+    sizes: list[int] = []
+
+    def rec(i: int) -> None:
+        if i == n:
+            key = (len(sizes), min(sizes))
+            w = prod(factorial(s - 1) for s in sizes)
+            c = counts.setdefault(key, [0, 0])
+            c[0] += 1
+            c[1] += w
+            return
+        for b in range(len(sizes)):
+            sizes[b] += 1
+            rec(i + 1)
+            sizes[b] -= 1
+        sizes.append(1)
+        rec(i + 1)
+        sizes.pop()
+
+    rec(0)
+    return {k: tuple(v) for k, v in counts.items()}
+
+
+def enumerate_oracle(kind: str, n: int, k: int, r: int = 1) -> int:
+    """Count partitions/permutations with k parts of size >= r by listing.
+
+    Capped at n <= 12 (the walk is exponential in n); meant purely as an
+    independent check of the closed-form routes.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}")
+    if n < 0 or k < 0 or r < 1:
+        raise ValueError("need n, k >= 0 and r >= 1")
+    if n > _ENUM_CAP:
+        raise ValueError(f"enumeration capped at n = {_ENUM_CAP}")
+    if n == 0:
+        return int(k == 0)
+    idx = 0 if kind == "subset" else 1
+    return sum(v[idx] for (nb, mn), v in _partition_census(n).items()
+               if nb == k and mn >= r)
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-[0-9./+\-i]+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """Every command and target is a subparser, but only the leaf that argv
+    starts with gets its options: parsing argv reaches no other."""
     p = _Parser(
         prog="ramasym",
         description="Exact coefficients and verified numerics for the "
@@ -327,12 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_, fn, options, targets) in _COMMANDS.items():
         cp = sub.add_parser(command, help=help_)
         if targets is None:
-            leaves = [(cp, {})]
+            leaves = [(cp, [command], {})]
         else:
             tsub = cp.add_subparsers(dest="target", required=True)
-            leaves = [(tsub.add_parser(target), own)
+            leaves = [(tsub.add_parser(target), [command, target], own)
                       for target, (_, own) in targets.items()]
-        for leaf, own in leaves:
+        for leaf, path, own in leaves:
+            if argv[:len(path)] != path:
+                continue
             # coeff's --r and --upto exclude each other
             group = leaf.add_mutually_exclusive_group() \
                 if "--upto" in options else leaf
@@ -344,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.command == "coeff" and args.upto is not None and args.upto < 0:
         parser.error("argument --upto: must be nonnegative")

@@ -1,9 +1,8 @@
 """Stirling numbers, their r-associated refinements, and related counts.
 
 Every table is a row list held by an ``lru_cache``, grown by its recurrence.
-``enumerate_oracle`` is deliberately dumb: it walks every set partition of
-an n-element set and counts, so the closed-form routes have something
-independent to be checked against.
+The exhaustive enumeration these tables are checked against is not here: it
+belongs to the ledger, ``checks``, its only reader.
 """
 
 from __future__ import annotations
@@ -140,61 +139,3 @@ def stirling_associated(kind: str, n: int, k: int, r: int) -> int:
     if m < k:
         return 0
     return associated_row(kind, r - 1, m)[k]
-
-
-_ENUM_CAP = 12
-
-
-@lru_cache(maxsize=None)
-def _partition_census(n: int):
-    """Exhaustive walk over set partitions of {0..n-1}.
-
-    Returns {(blocks, min_block_size): (partition_count, cycle_count)} where
-    cycle_count weights each partition by prod (size-1)!, the number of ways
-    to arrange each block into a cycle.
-    """
-    counts: dict[tuple[int, int], list[int]] = {}
-    sizes: list[int] = []
-
-    def rec(i: int) -> None:
-        if i == n:
-            key = (len(sizes), min(sizes))
-            w = 1
-            for s in sizes:
-                w *= factorial(s - 1)
-            c = counts.get(key)
-            if c is None:
-                counts[key] = [1, w]
-            else:
-                c[0] += 1
-                c[1] += w
-            return
-        for b in range(len(sizes)):
-            sizes[b] += 1
-            rec(i + 1)
-            sizes[b] -= 1
-        sizes.append(1)
-        rec(i + 1)
-        sizes.pop()
-
-    rec(0)
-    return {k: tuple(v) for k, v in counts.items()}
-
-
-def enumerate_oracle(kind: str, n: int, k: int, r: int = 1) -> int:
-    """Count partitions/permutations with k parts of size >= r by listing.
-
-    Capped at n <= 12 (the walk is exponential in n); meant purely as an
-    independent check of the closed-form routes.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
-    if n < 0 or k < 0 or r < 1:
-        raise ValueError("need n, k >= 0 and r >= 1")
-    if n > _ENUM_CAP:
-        raise ValueError(f"enumeration capped at n = {_ENUM_CAP}")
-    if n == 0:
-        return int(k == 0)
-    idx = 0 if kind == "subset" else 1
-    return sum(v[idx] for (nb, mn), v in _partition_census(n).items()
-               if nb == k and mn >= r)

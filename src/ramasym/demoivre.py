@@ -17,17 +17,17 @@ every sequence of one kind and shift.  Every other sequence takes
 truncated series convolution, row by row in k; its entries may live in any
 commutative ring that coerces ints and Fractions (exact rationals,
 polynomials, rational functions), since convolution only ever adds and
-multiplies.
+multiplies.  The routes only the ledger reads live in ``checks``.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
-from .combinat import associated_row, binomial, eulerian2, stirling
+from .combinat import associated_row
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -113,13 +113,6 @@ def inv_factorial(shift: int = 0) -> CoeffSequence:
                     "subset", shift)
 
 
-def convolution(seq: CoeffSequence) -> CoeffSequence:
-    """The same terms as a new plain sequence, so its triangle is built
-    afresh by the ring-generic convolution on every call: the independent
-    side of the checks on the integer route."""
-    return CoeffSequence(seq.term)
-
-
 def clear_caches() -> None:
     """Drop every memo in the package (mainly for benchmarks and tests):
     every memo is an ``lru_cache``, the Stirling, Eulerian and
@@ -147,126 +140,3 @@ def demoivre(n: int, k: int, seq: CoeffSequence):
     if n < k:
         return _ZERO
     return seq.value(n, k)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(k: int, js) -> int:
-    out = factorial(k)
-    for j in js:
-        out //= factorial(j)
-    return out
-
-
-def strip_r(n: int, k: int, r: int, seq: CoeffSequence):
-    """A(n, k) for the r-fold shifted sequence a_{r+1}, a_{r+2}, ...
-
-    Multinomial sum over (j_1, ..., j_{r+1}) with sum k:
-        multinom * prod_i (-a_i)^{j_i} * A(n + J + r j_{r+1}, j_{r+1}; a),
-    J = (r-1) j_1 + (r-2) j_2 + ... + 1 * j_{r-1}.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    a = [None] + [seq(i) for i in range(1, r + 1)]
-    total = None
-    for js in _compositions(k, r + 1):
-        jlast = js[-1]
-        J = sum((r - 1 - i) * js[i] for i in range(r - 1))
-        A = demoivre(n + J + r * jlast, jlast, seq)
-        if not A:
-            continue
-        t = Fraction(_multinomial(k, js)) * A
-        for i in range(r):
-            if js[i]:
-                t = t * (-a[i + 1]) ** js[i]
-        total = t if total is None else total + t
-    return total if total is not None else _ZERO
-
-
-# Closed forms for specific shifted harmonic / inverse-factorial sequences,
-# keyed by mode, each with the sequence it must reproduce.
-CLOSED_FORM_SEQUENCES = {
-    "cycle": harmonic(0),
-    "subset": inv_factorial(0),
-    "cycle1": harmonic(1),
-    "subset1": inv_factorial(1),
-    "cycle1_eulerian": harmonic(1),
-    "subset1_eulerian": inv_factorial(1),
-    "cycle2": harmonic(2),
-    "subset1_power": inv_factorial(1),
-    "subset2_power": inv_factorial(2),
-}
-
-
-def special_closed_forms(n: int, k: int, which: str) -> Fraction:
-    """Evaluate A(n, k) for a library sequence from combinatorial numbers.
-
-    Modes (sequence -> formula source):
-      cycle             1/j      from Stirling cycle numbers
-      subset            1/j!     from Stirling subset numbers
-      cycle1            1/(j+1)  alternating binomial-cycle sum
-      subset1           1/(j+1)! alternating binomial-subset sum
-      cycle1_eulerian   1/(j+1)  second-order Eulerian sum
-      subset1_eulerian  1/(j+1)! second-order Eulerian sum
-      cycle2            1/(j+2)  three-part multinomial cycle sum
-      subset1_power     1/(j+1)! power sum
-      subset2_power     1/(j+2)! power sum
-    """
-    if which not in CLOSED_FORM_SEQUENCES:
-        raise ValueError(f"unknown closed form {which!r}")
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-
-    if which == "cycle":
-        return Fraction(factorial(k), factorial(n)) * stirling("cycle", n, k)
-    if which == "subset":
-        return Fraction(factorial(k), factorial(n)) * stirling("subset", n, k)
-    if which in ("cycle1", "subset1"):
-        kind = "cycle" if which == "cycle1" else "subset"
-        s = sum((-1) ** (k - j) * comb(n + k, n + j) * stirling(kind, n + j, j)
-                for j in range(k + 1))
-        return Fraction(factorial(k), factorial(n + k)) * s
-    if which == "cycle1_eulerian":
-        s = sum(eulerian2(n, j) * binomial(j, n - k)
-                for j in range(n + 1))
-        return Fraction(factorial(k), factorial(n + k)) * s
-    if which == "subset1_eulerian":
-        s = sum(eulerian2(n, j) * binomial(n - 1 - j, n - k)
-                for j in range(n + 1))
-        return Fraction(factorial(k), factorial(n + k)) * s
-    if which == "cycle2":
-        total = Fraction(0)
-        for j1, j2, j3 in _compositions(k, 3):
-            m = n + j2 + 2 * j3
-            st = stirling("cycle", m, j3)
-            if st:
-                total += (Fraction((-1) ** (j1 + j2), 2 ** j1)
-                          * Fraction(factorial(k),
-                                     factorial(j1) * factorial(j2) * factorial(m))
-                          * st)
-        return total
-    if which == "subset1_power":
-        total = Fraction(0)
-        for j1, j2, j3 in _compositions(k, 3):
-            e = n + j1 + j3
-            total += (Fraction(_multinomial(k, (j1, j2, j3)))
-                      * (-1) ** (j1 + j2)
-                      * Fraction(j3 ** e, factorial(e)))
-        return total
-    # subset2_power
-    total = Fraction(0)
-    for j1, j2, j3, j4 in _compositions(k, 4):
-        e = n + 2 * j1 + j2 + 2 * j4
-        total += (Fraction(_multinomial(k, (j1, j2, j3, j4)))
-                  * Fraction((-1) ** (j1 + j2 + j3), 2 ** j3)
-                  * Fraction(j4 ** e, factorial(e)))
-    return total

@@ -18,9 +18,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from ramasym import coefficients as cf
+from ramasym.checks import convolution
 from ramasym.combinat import (associated_row, eulerian2, stirling,
                               stirling_associated)
-from ramasym.demoivre import convolution, demoivre, harmonic, inv_factorial
+from ramasym.demoivre import demoivre, harmonic, inv_factorial
 from ramasym.polys import PolyW, RationalFnW, binomial_poly
 
 GOLDEN = Path(__file__).with_name("golden_exact.txt")

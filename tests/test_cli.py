@@ -367,6 +367,14 @@ class TestParsingAndEnvironment:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "68476482/232058125-1457894028/232058125i\n"
 
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["coeff", "rho", "--upto", "2", "--v", "1/2"]
+        want = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["ramasym", *argv])
+        code = main()
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == want
+
     def test_digits_default_to_50(self, capsys):
         argv = ("oracle", "theta", "--n", "10", "--format", "plain")
         code, default, _ = run(capsys, *argv)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ramasym.combinat import (binomial, double_factorial, enumerate_oracle,
-                              eulerian2, stirling, stirling_associated)
+from ramasym.checks import enumerate_oracle
+from ramasym.combinat import (binomial, double_factorial, eulerian2, stirling,
+                              stirling_associated)
 
 
 class TestBinomial:
@@ -118,12 +119,20 @@ class TestEulerian2:
 
 class TestStirlingAssociated:
     def test_reduces_to_plain_at_r_one(self):
-        for n in range(9):
-            for k in range(n + 1):
-                assert stirling_associated("cycle", n, k, 1) \
-                    == stirling("cycle", n, k)
-                assert stirling_associated("subset", n, k, 1) \
-                    == stirling("subset", n, k)
+        # the classical recurrences, written out here: ``stirling`` reads
+        # the same associated rows, so comparing with it would show nothing
+        # c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k)
+        # S(n, k) = S(n-1, k-1) + k S(n-1, k)
+        for kind, weight in (("cycle", lambda n, k: n - 1),
+                             ("subset", lambda n, k: k)):
+            row = [1]
+            for n in range(41):
+                for k in range(n + 1):
+                    assert stirling_associated(kind, n, k, 1) == row[k], \
+                        (kind, n, k)
+                row = [(row[k - 1] if k else 0)
+                       + (weight(n + 1, k) * row[k] if k <= n else 0)
+                       for k in range(n + 2)]
 
     @given(st.integers(0, 7), st.integers(2, 3))
     def test_cycle_against_permutation_census(self, n, r):

@@ -16,12 +16,11 @@ from ramasym import combinat
 from ramasym.coefficients import (U_coeff, _rho_sum, beta, gamma_coeff,
                                   gamma_zero, psi, psi_zero, rho, rho_zero,
                                   tau, tau_zero)
-from ramasym.combinat import (enumerate_oracle, eulerian2, stirling,
-                              stirling_associated)
-from ramasym.demoivre import (CLOSED_FORM_SEQUENCES, CoeffSequence,
-                              _Library, clear_caches,
-                              convolution, demoivre, harmonic, inv_factorial,
-                              special_closed_forms, strip_r)
+from ramasym.checks import (CLOSED_FORM_SEQUENCES, convolution,
+                            enumerate_oracle, special_closed_forms, strip_r)
+from ramasym.combinat import eulerian2, stirling, stirling_associated
+from ramasym.demoivre import (CoeffSequence, _Library, clear_caches, demoivre,
+                              harmonic, inv_factorial)
 
 fracs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)

@@ -5,10 +5,15 @@ functions, and the benchmark's reference implementation lives in
 ``perfbench``.  Neither may leak into the package: a route checked against
 itself shows nothing.  For the same reason the oracles reach no engine
 module: ``oracle.py`` imports nothing of the package but ``numcore``.  These
-rules are read off the source with ``ast``.
+rules are read off the source with ``ast``.  The layers stay apart too: no
+library module imports the ledger or the CLI, so ``import ramasym`` loads
+neither.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +94,27 @@ def test_no_mpmath_reference_in_the_routes_it_checks(name):
 
 def test_oracles_reach_no_engine_module():
     assert set(package_modules(_tree(SRC / "oracle.py"))) <= {"numcore"}
+
+
+@pytest.mark.parametrize("name", [
+    "numcore", "polys", "combinat", "demoivre", "coefficients",
+    "asymptotics", "oracle", "__init__"])
+def test_the_library_imports_no_ledger_or_cli(name):
+    assert not {"checks", "cli"} \
+        & set(package_modules(_tree(SRC / f"{name}.py")))
+
+
+def test_import_ramasym_loads_no_ledger_or_cli():
+    code = ("import sys, ramasym\n"
+            "print([m for m in ('ramasym.checks', 'ramasym.cli')\n"
+            "       if m in sys.modules])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("code", [

@@ -51,9 +51,9 @@ ROUTES = [
     (checks, "stirling_associated", ("subset", 8, 2, 3), 1, ident,
      {"associated-stirling-vs-enumeration", "gamma-from-associated-subset"}),
     (checks, "eulerian2", (5, 2), 1, ident,
-     {"eulerian2-recovered-factorial", "eulerian2-recovered-harmonic",
-      "eulerian2-row-sums", "eulerian2-to-stirling-cycle",
-      "eulerian2-to-stirling-subset"}),
+     {"closed-forms-vs-convolution", "eulerian2-recovered-factorial",
+      "eulerian2-recovered-harmonic", "eulerian2-row-sums",
+      "eulerian2-to-stirling-cycle", "eulerian2-to-stirling-subset"}),
 ]
 
 
