@@ -1,0 +1,258 @@
+"""Record a BENCH_*.json: the benchmark of this tree against a base commit.
+
+    python3 scripts/record_bench.py --base <commit> --out BENCH_<name>.json
+
+Run from the root of the repository.  The base commit is exported with
+``git archive`` and this working tree is copied (its tracked and untracked,
+not ignored, files), each into its own temporary directory, so that both
+sides run the same way and neither writes into the repository.  Then, with
+the two sides taking turns and the side that goes first alternating:
+
+* ``perfbench/run.py`` on every workload in ten pairs, pair i at seed i;
+  the medians and quartiles of every end-to-end metric;
+* the cold figures, each the median of three runs in a fresh interpreter
+  with every memo empty: the 16 ``coeff-cold`` slots at their highest R,
+  and four larger tables;
+* ``ramasym verify all``: wall time and peak RSS;
+* tier-1 (``pytest -q``): wall time and the summary line.
+
+The machine, the Python and mpmath versions and the two commits go in too.
+The benchmark keeps its own output in each temporary copy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import mpmath
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("coeff-cold", "eval-warm", "oracle-sweep", "ledger-cold")
+PAIRS = 10
+COLD_REPEATS = 3
+
+# one table per fresh interpreter: (name, the statement that builds it);
+# the statement runs with ``cf`` bound to ramasym.coefficients
+_SLOT_CALL = {"rho": "cf.rho(r, {mode!r})",
+              "gamma": "cf.gamma_coeff(r, {mode!r})",
+              "tau": "cf.tau(r)", "psi": "cf.psi(r)",
+              "beta": "cf.beta(r, {mode!r})",
+              "U": "cf.U_coeff(r, {mode!r}, taylor_terms={terms})",
+              "rho_zero": "cf.rho_zero(r)", "psi_zero": "cf.psi_zero(r)"}
+LARGE = {"rho(0..60)": "[cf.rho(r) for r in range(61)]",
+         "psi(30)": "cf.psi(30)",
+         "check_conjecture(150)": "cf.check_conjecture(150)",
+         "U_coeff(25)": "cf.U_coeff(25)"}
+
+
+def _slots(side: Path) -> dict:
+    """The coeff-cold slots at their highest R, read from the base side's
+    workload table, as statements."""
+    sys.path.insert(0, str(side / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    out = {}
+    for fam, mode, _lo, hi in workloads.COEFF_SLOTS:
+        terms = 16 if mode == "taylor" else None
+        call = _SLOT_CALL[fam].format(mode=mode, terms=terms)
+        out[f"{fam}/{mode}/R={hi}"] = f"[{call} for r in range({hi + 1})]"
+    return out
+
+
+def _run(side: Path, argv: list) -> tuple:
+    """Run argv in side with its ``src`` on the path: (stdout, wall s, exit
+    status)."""
+    env = dict(os.environ, PYTHONPATH=str(side / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=side, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    return proc.stdout, time.perf_counter() - t0, proc.returncode
+
+
+def _cold(side: Path, stmt: str) -> float:
+    """Seconds one statement takes in a fresh interpreter, import excluded."""
+    code = ("import sys, time\nsys.set_int_max_str_digits(0)\n"
+            "from ramasym import coefficients as cf\n"
+            f"t = time.perf_counter()\n{stmt}\n"
+            "print(time.perf_counter() - t)\n")
+    out, _, rc = _run(side, [sys.executable, "-c", code])
+    if rc:
+        raise RuntimeError(f"{stmt} failed in {side}")
+    return float(out)
+
+
+def _verify_all(side: Path) -> dict:
+    """Wall time and peak RSS of ``ramasym verify all``, waited on here so
+    that the kernel reports the peak of that one process."""
+    env = dict(os.environ, PYTHONPATH=str(side / "src"))
+    t0 = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "ramasym", "verify", "all"],
+                          cwd=side, env=env, stdout=subprocess.PIPE,
+                          text=True) as proc:
+        last = proc.stdout.read().splitlines()[-1]
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"wall_s": time.perf_counter() - t0,
+            "peak_rss_mb": usage.ru_maxrss / 1024, "summary": last,
+            "exit": proc.returncode}
+
+
+def _stats(xs: list) -> dict:
+    """Median and quartiles; ``runs`` keeps the pair order."""
+    q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+    return {"median": statistics.median(xs), "q1": q[0], "q3": q[2],
+            "runs": xs}
+
+
+def _compare(base: list, change: list, lower_is_better: bool) -> dict:
+    """Pairs the change wins (ties count for neither), the ratio of the
+    medians (change / base), and the base's interquartile distance."""
+    sign = -1 if lower_is_better else 1
+    q = statistics.quantiles(base, n=4) if len(base) > 1 else [base[0]] * 3
+    return {"change_wins": sum(sign * (c - b) > 0
+                               for b, c in zip(base, change)),
+            "pairs": len(base),
+            "ratio": statistics.median(change) / statistics.median(base),
+            "median_diff": statistics.median(change)
+            - statistics.median(base),
+            "base_iqr": q[2] - q[0]}
+
+
+def _export(base: str, into: Path) -> str:
+    """``git archive`` of base into ``into``; returns the full commit id."""
+    sha = subprocess.run(["git", "rev-parse", base], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=tar, check=True)
+    return sha
+
+
+def _copy_tree(into: Path) -> str:
+    """Copy the working tree's files into ``into``; returns the HEAD commit
+    id, with ``+dirty`` when the tree differs from it."""
+    files = subprocess.run(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
+        check=True, capture_output=True, text=True).stdout.split("\0")
+    for name in filter(None, files):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT,
+                           check=True, capture_output=True,
+                           text=True).stdout.strip()
+    return head + ("+dirty" if dirty else "")
+
+
+def _machine() -> dict:
+    model = next((line.split(":", 1)[1].strip()
+                  for line in Path("/proc/cpuinfo").read_text().splitlines()
+                  if line.startswith("model name")), platform.processor()) \
+        if Path("/proc/cpuinfo").exists() else platform.processor()
+    return {"cpu": model, "cpus": os.cpu_count(),
+            "system": platform.platform(),
+            "python": platform.python_version(),
+            "mpmath": mpmath.__version__,
+            "mpmath_backend": mpmath.libmp.BACKEND}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="commit to compare with")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        for path in sides.values():
+            path.mkdir()
+        commits = {"base": _export(args.base, sides["base"]),
+                   "change": _copy_tree(sides["change"])}
+        cold = {**_slots(sides["base"]), **LARGE}
+
+        def turns(i: int):
+            """Both sides, the base first on even i."""
+            return list(sides.items())[::1 if i % 2 == 0 else -1]
+
+        bench = {name: {w: {} for w in WORKLOADS} for name in sides}
+        for i in range(PAIRS):
+            for w in WORKLOADS:
+                for name, side in turns(i):
+                    out, _, _ = _run(side, [
+                        sys.executable, "perfbench/run.py", "--workload", w,
+                        "--seed", str(i + 1), "--seconds", "10"])
+                    res = json.loads(out.splitlines()[-1])
+                    rec = bench[name][w]
+                    for key in ("correct", "attempted", "failed"):
+                        rec.setdefault(key, []).append(res[key])
+                    for metric, m in res["metrics"].items():
+                        rec.setdefault(metric, []).append(m["value"])
+            print(f"pair {i + 1}/{PAIRS} done", file=sys.stderr)
+
+        times = {name: {k: [] for k in cold} for name in sides}
+        for i in range(COLD_REPEATS):
+            for key, stmt in cold.items():
+                for name, side in turns(i):
+                    times[name][key].append(_cold(side, stmt))
+        verify, tier1 = {}, {}
+        for i in range(2):
+            for name, side in turns(i):
+                verify.setdefault(name, []).append(_verify_all(side))
+        for name, side in turns(0):
+            out, wall, rc = _run(side, [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--continue-on-collection-errors"])
+            tier1[name] = {"wall_s": wall, "exit": rc,
+                           "summary": out.strip().splitlines()[-1]}
+
+    slot_keys = [k for k in cold if "/" in k]
+    report = {"machine": _machine(), "commits": commits,
+              "pairs": PAIRS, "seeds": list(range(1, PAIRS + 1)),
+              "sides": {}}
+    for name in sides:
+        per = {}
+        for w, rec in bench[name].items():
+            per[w] = {"correct": all(rec["correct"]),
+                      "attempted": sum(rec["attempted"]),
+                      "failed": sum(rec["failed"])}
+            per[w].update({metric: _stats(v) for metric, v in rec.items()
+                           if metric not in ("correct", "attempted",
+                                             "failed")})
+        med = {k: statistics.median(v) for k, v in times[name].items()}
+        report["sides"][name] = {
+            "workloads": per,
+            "cold_s": {"coeff_slots_sum": sum(med[k] for k in slot_keys),
+                       **med},
+            "verify_all": {
+                "wall_s": _stats([r["wall_s"] for r in verify[name]]),
+                "peak_rss_mb": max(r["peak_rss_mb"] for r in verify[name]),
+                "summary": verify[name][0]["summary"],
+                "exit": verify[name][0]["exit"]},
+            "tier1": tier1[name]}
+    report["compare"] = {
+        w: {metric: _compare(bench["base"][w][metric],
+                             bench["change"][w][metric],
+                             metric != "ops_per_s")
+            for metric in bench["base"][w]
+            if metric not in ("correct", "attempted", "failed")}
+        for w in WORKLOADS}
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -554,13 +554,11 @@ def check_identities(max_n: int = 12) -> list:
 # the sign conjecture, the saddle engine, convergence, regions
 # ---------------------------------------------------------------------------
 
-_CONJECTURE_MAX_R = 100
-
-
 def check_conjecture_range(max_r: Optional[int] = None) -> list:
-    """The sign conjecture for r <= max_r (default _CONJECTURE_MAX_R)."""
+    """The sign conjecture for r <= max_r (default
+    ``coefficients._CONJECTURE_MAX_R``)."""
     if max_r is None:
-        max_r = _CONJECTURE_MAX_R
+        max_r = cf._CONJECTURE_MAX_R
     report = cf.check_conjecture(max_r)
     bad = [row for row in report.rows if not row.equal]
     detail = f"{sum(r.equal for r in report.rows)}/{len(report.rows)} equal"

@@ -27,11 +27,10 @@ import re
 import sys
 from fractions import Fraction
 
-from . import checks
 from .asymptotics import (S_expansion, T_expansion, classify, gamma_expansion,
                           psi_expansion, szego_curve, theta_expansion)
-from .coefficients import (_POLY_MODES, _U_MODES, U_coeff, beta, gamma_coeff,
-                           psi, rho, tau)
+from .coefficients import (_CONJECTURE_MAX_R, _POLY_MODES, _U_MODES, U_coeff,
+                           beta, gamma_coeff, psi, rho, tau)
 from .numcore import (GaussianRational, PrecisionError, format_bigfloat,
                       format_rational, parse_gaussian, parse_rational)
 from .oracle import (oracle_Ei, oracle_S, oracle_T, oracle_factorial,
@@ -245,20 +244,21 @@ def cmd_szego(args) -> int:
 
 _MAX_R = {"--max-r": dict(type=int, help="index range of identities and "
                           "conjecture; all reads it as the conjecture range "
-                          f"(default {checks._CONJECTURE_MAX_R})")}
+                          f"(default {_CONJECTURE_MAX_R})")}
 
-# suite: (its ledger lines, the options it reads)
+# suite: (its ``checks`` function, imported when it runs; its options)
 _SUITES = {
-    "identities": (checks.run_identity_suite, _MAX_R),
-    "conjecture": (checks.check_conjecture_range, _MAX_R),
-    "convergence": (checks.check_convergence, {}),
-    "regions": (checks.check_regions, {}),
-    "all": (checks.run_all, _MAX_R),
+    "identities": ("run_identity_suite", _MAX_R),
+    "conjecture": ("check_conjecture_range", _MAX_R),
+    "convergence": ("check_convergence", {}),
+    "regions": ("check_regions", {}),
+    "all": ("run_all", _MAX_R),
 }
 
 
 def cmd_verify(args) -> int:
-    suite = _SUITES[args.target][0]
+    from . import checks
+    suite = getattr(checks, _SUITES[args.target][0])
     results = suite(args.max_r) if "max_r" in args else suite()
     passed = sum(1 for r in results if r.ok)
     ok = passed == len(results)

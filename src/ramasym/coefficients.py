@@ -52,14 +52,11 @@ def _double_sum(deg: int, seq: CoeffSequence, weights: list,
                 outer: Callable[[int], object], lo: int = 0):
     """sum_(m=lo..deg) outer(m) sum_k weights[k] A(m, k; seq), in the ring
     the weights and the outer factors live in: the saddle-point double sum
-    every family and ``alpha_s`` are built from."""
+    every family and ``alpha_s`` are built from; the inner sum is the
+    sequence's ``weighted_row``, over one factorial for a library one."""
     total = Fraction(0)
     for m in range(lo, deg + 1):
-        inner = Fraction(0)
-        for k in range(m + 1):
-            A = seq.value(m, k)
-            if A:
-                inner = inner + weights[k] * A
+        inner = seq.weighted_row(m, weights)
         if inner:
             total = total + outer(m) * inner
     return total
@@ -214,6 +211,10 @@ class ConjectureRow:
 class ConjectureReport:
     rows: tuple
     all_equal: bool
+
+
+# the range ``ramasym verify`` checks the conjecture over by default
+_CONJECTURE_MAX_R = 100
 
 
 def check_conjecture(max_r: int) -> ConjectureReport:

@@ -11,20 +11,21 @@ its triangle of values and grows it as queries need it, so repeated
 queries on one sequence are cheap.
 
 The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) made by ``harmonic``
-and ``inv_factorial`` keep no triangle: each value is read off the integer
+and ``inv_factorial`` keep no triangle: they read the integer
 associated-Stirling rows (``combinat.associated_row``), the one store of
-every sequence of one kind and shift.  Every other sequence takes
-truncated series convolution, row by row in k; its entries may live in any
-commutative ring that coerces ints and Fractions (exact rationals,
-polynomials, rational functions), since convolution only ever adds and
-multiplies.  The routes only the ledger reads live in ``checks``.
+every sequence of one kind and shift, and sum each weighted row (the inner
+sum of every family) over one denominator, (m + s m)!.  Every other
+sequence takes truncated series convolution, row by row in k; its entries
+may live in any commutative ring that coerces ints and Fractions (exact
+rationals, polynomials, rational functions), since convolution only ever
+adds and multiplies.  The routes only the ledger reads live in ``checks``.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Callable
 
 from .combinat import associated_row
@@ -77,6 +78,15 @@ class CoeffSequence:
             row.extend(self._conv(prev, m, kk) for m in range(len(row), n + 1))
         return rows[k][n]
 
+    def weighted_row(self, m: int, weights: list):
+        """sum_(k<=m) weights[k] A(m, k), in the ring of the weights."""
+        acc = _ZERO
+        for k in range(m + 1):
+            A = self.value(m, k)
+            if A:
+                acc = acc + weights[k] * A
+        return acc
+
 
 class _Library(CoeffSequence):
     """1/(j + shift) (cycle) or 1/(j + shift)! (subset) with shift >= 0,
@@ -91,6 +101,21 @@ class _Library(CoeffSequence):
         s = self.shift
         return Fraction(factorial(k) * associated_row(self.kind, s, n)[k],
                         factorial(n + s * k))
+
+    def weighted_row(self, m: int, weights: list):
+        """sum_k weights[k] A(m, k) over the one denominator (m + s m)!: the
+        integer c = k! (m + s m)!/(m + s k)! is carried down k, so each term
+        is weights[k] times the integer c T_s(m, k), and the sum is scaled
+        by 1/(m + s m)! once."""
+        s = self.shift
+        row = associated_row(self.kind, s, m)
+        c, acc = factorial(m), 0
+        for k in range(m, -1, -1):
+            if row[k]:
+                acc = acc + weights[k] * (c * row[k])
+            if k:
+                c = c // k * perm(m + s * k, s)
+        return acc * Fraction(1, factorial(m + s * m))
 
 
 def harmonic(shift: int = 0) -> CoeffSequence:

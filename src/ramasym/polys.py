@@ -1,13 +1,14 @@
 """Exact polynomial rings used by the coefficient families.
 
 ``PolyV`` is a dense univariate polynomial over the rationals in the offset
-variable v.  ``PolyW`` stacks PolyV coefficients into a polynomial in a
-second variable w; both are one dense class, ``_Dense``, over different
-coefficient rings.  ``RationalFnW`` is the fraction N(w, v)/(w-1)^e kept
-in lowest terms with respect to the (w-1) factor.  ``Sqrt2Scaled`` tracks an
-exact multiple of an integer power of sqrt(2) so that intermediate
-half-integer-power quantities never leave exact arithmetic.  Evaluation is
-exact: the arguments are rationals, Gaussian rationals or ring elements.
+variable v, held as integer numerators over one common denominator, so its
+ring operations are integer arithmetic with one gcd per result.  ``PolyW``
+stacks PolyV coefficients into a dense polynomial in a second variable w.
+``RationalFnW`` is the fraction N(w, v)/(w-1)^e kept in lowest terms with
+respect to the (w-1) factor.  ``Sqrt2Scaled`` tracks an exact multiple of an
+integer power of sqrt(2) so that intermediate half-integer-power quantities
+never leave exact arithmetic.  Evaluation is exact: the arguments are
+rationals, Gaussian rationals or ring elements.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .combinat import stirling
 from .numcore import RingOps, format_rational
@@ -58,81 +59,33 @@ def _divide_w_minus_1(cs):
     return q, (cs[0] + q[0] if q else cs[0])
 
 
-class _Dense(RingOps):
-    """Dense polynomial, lowest degree first, trailing zeros trimmed.
+class PolyV(RingOps):
+    """Polynomial in v with exact rational coefficients, lowest degree first.
 
-    A subclass sets the coefficient lift ``_lift``, its zero ``_zero`` and
-    the scalar types ``_scalars`` it accepts as constant polynomials.
+    Integer numerators ``n`` over one denominator ``d``, as FLINT's
+    ``fmpq_poly`` (Hart, ICMS 2010), kept canonical: trailing zeros trimmed,
+    d > 0, gcd(d, *n) == 1, and d == 1 for the zero polynomial.  Operations
+    work on the integers with one gcd per result; ``c``, the Fraction
+    coefficients, is formed only when read.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("n", "d")
 
-    def __init__(self, coeffs=()):
-        cs = [self._lift(x) for x in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.c = tuple(cs)
-
-    @property
-    def degree(self):
-        """Degree as an int; -inf for the zero polynomial."""
-        return len(self.c) - 1 if self.c else float("-inf")
-
-    def coeff(self, i: int):
-        return self.c[i] if 0 <= i < len(self.c) else self._zero
+    def __new__(cls, coeffs=()):
+        fs = [Fraction(x) for x in coeffs]
+        d = lcm(*(f.denominator for f in fs))
+        return cls._of([f.numerator * (d // f.denominator) for f in fs], d)
 
     @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, cls):
-            return x
-        if isinstance(x, cls._scalars):
-            return cls([x])
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return type(self)([a + b for a, b in
-                           zip_longest(self.c, o.c, fillvalue=self._zero)])
-
-    def __neg__(self):
-        return type(self)([-x for x in self.c])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not self.c or not o.c:
-            return type(self)()
-        out = [self._zero] * (len(self.c) + len(o.c) - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(o.c):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return type(self)(out)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.c == o.c
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
-
-
-class PolyV(_Dense):
-    """Polynomial in v with exact rational coefficients, lowest degree first."""
-
-    __slots__ = ()
-    _lift = Fraction
-    _zero = Fraction(0)
-    _scalars = (int, Fraction)
+    def _of(cls, n: list, d: int) -> "PolyV":
+        """The polynomial sum_i n[i] v^i / d, brought to canonical form."""
+        while n and not n[-1]:
+            n.pop()
+        g = gcd(d, *n)
+        p = object.__new__(cls)
+        p.n = tuple(x // g for x in n) if g != 1 else tuple(n)
+        p.d = d // g
+        return p
 
     @classmethod
     def const(cls, x) -> "PolyV":
@@ -146,19 +99,89 @@ class PolyV(_Dense):
     def monomial(cls, k: int, coeff=1) -> "PolyV":
         return cls([0] * k + [coeff])
 
+    @property
+    def c(self) -> tuple:
+        """The coefficients as Fractions, constant term first."""
+        return tuple(Fraction(x, self.d) for x in self.n)
+
+    @property
+    def degree(self):
+        """Degree as an int; -inf for the zero polynomial."""
+        return len(self.n) - 1 if self.n else float("-inf")
+
+    def coeff(self, i: int) -> Fraction:
+        return Fraction(self.n[i], self.d) if 0 <= i < len(self.n) \
+            else Fraction(0)
+
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return cls._of([x.numerator], x.denominator)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        d = lcm(self.d, o.d)
+        a, b = d // self.d, d // o.d
+        return self._of([x * a + y * b for x, y in
+                         zip_longest(self.n, o.n, fillvalue=0)], d)
+
+    def __neg__(self):
+        return self._of([-x for x in self.n], self.d)
+
+    def __mul__(self, other):
+        """Integer convolution of the numerators over the product of the
+        denominators; a scalar p/q is the one-term case."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        out = [0] * (len(self.n) + len(o.n) - 1)
+        for i, a in enumerate(self.n):
+            if a:
+                for j, b in enumerate(o.n, i):
+                    out[j] += a * b
+        return self._of(out, self.d * o.d)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.n == o.n and self.d == o.d
+
+    def __bool__(self):
+        return bool(self.n)
+
     def coeff_strings(self):
         """Coefficient list as "p/q" strings (constant term first)."""
         return [format_rational(x) for x in self.c]
 
     def __call__(self, x):
-        """Horner evaluation at an exact x, or at another ring element."""
-        acc = Fraction(0)
-        for co in reversed(self.c):
+        """Horner evaluation at an exact x, or at another ring element.
+
+        At a rational x = p/q the sum runs over integers, as
+        sum_i n_i p^i q^(deg-i) / (q^deg d); anywhere else Horner runs over
+        the integer numerators and the result is scaled by 1/d once."""
+        if isinstance(x, (int, Fraction)) and self.n:
+            p, q = x.numerator, x.denominator
+            acc, qk = 0, 1
+            for co in reversed(self.n):
+                acc = acc * p + co * qk
+                qk *= q
+            return Fraction(acc, self.d * qk // q)
+        acc = 0
+        for co in reversed(self.n):
             acc = acc * x + co
-        return acc
+        return acc * Fraction(1, self.d)
 
     def __str__(self):
         return _poly_terms_str(self.c, "v")
+
+    def __repr__(self):
+        return f"PolyV({self})"
 
 
 @lru_cache(maxsize=None)
@@ -168,21 +191,72 @@ def binomial_poly(m: int) -> PolyV:
     with c the Stirling cycle numbers."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return PolyV([Fraction((-1) ** (m - k) * stirling("cycle", m, k),
-                           factorial(m)) for k in range(m + 1)])
+    return PolyV._of([(-1) ** (m - k) * stirling("cycle", m, k)
+                      for k in range(m + 1)], factorial(m))
 
 
-class PolyW(_Dense):
-    """Polynomial in w whose coefficients are PolyV elements."""
+class PolyW(RingOps):
+    """Polynomial in w whose coefficients are PolyV elements, lowest degree
+    first, trailing zeros trimmed."""
 
-    __slots__ = ()
-    _lift = staticmethod(lambda x: x if isinstance(x, PolyV) else PolyV([x]))
-    _zero = PolyV()
-    _scalars = (PolyV, int, Fraction)
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs=()):
+        cs = [x if isinstance(x, PolyV) else PolyV([x]) for x in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.c = tuple(cs)
 
     @classmethod
     def w_monomial(cls, k: int, coeff=1) -> "PolyW":
         return cls([0] * k + [coeff])
+
+    @property
+    def degree(self):
+        """Degree as an int; -inf for the zero polynomial."""
+        return len(self.c) - 1 if self.c else float("-inf")
+
+    def coeff(self, i: int) -> PolyV:
+        return self.c[i] if 0 <= i < len(self.c) else PolyV()
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, PolyW):
+            return x
+        if isinstance(x, (PolyV, int, Fraction)):
+            return PolyW([x])
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return PolyW([a + b for a, b in
+                      zip_longest(self.c, o.c, fillvalue=PolyV())])
+
+    def __neg__(self):
+        return PolyW([-x for x in self.c])
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        out = [PolyV()] * (len(self.c) + len(o.c) - 1)
+        for i, a in enumerate(self.c):
+            if a:
+                for j, b in enumerate(o.c):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+        return PolyW(out)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.c == o.c
+
+    def __bool__(self):
+        return bool(self.c)
 
     def divmod_w_minus_1(self):
         """Synthetic division by (w - 1): returns (quotient, remainder PolyV)."""
@@ -206,6 +280,9 @@ class PolyW(_Dense):
             f"({p})*w^{i}" if i else f"({p})"
             for i, p in enumerate(self.c) if p
         )
+
+    def __repr__(self):
+        return f"PolyW({self})"
 
 
 _W_MINUS_1 = PolyW([-1, 1])
@@ -243,7 +320,7 @@ class RationalFnW(RingOps):
     def _coerce(x):
         if isinstance(x, RationalFnW):
             return x
-        if isinstance(x, (PolyW, *PolyW._scalars)):
+        if isinstance(x, (PolyW, PolyV, int, Fraction)):
             return RationalFnW(x, 0)
         return NotImplemented
 

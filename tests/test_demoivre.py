@@ -21,6 +21,7 @@ from ramasym.checks import (CLOSED_FORM_SEQUENCES, convolution,
 from ramasym.combinat import eulerian2, stirling, stirling_associated
 from ramasym.demoivre import (CoeffSequence, _Library, clear_caches, demoivre,
                               harmonic, inv_factorial)
+from ramasym.polys import PolyV, PolyW
 
 fracs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
@@ -131,6 +132,23 @@ class TestIntegerRoute:
         got = demoivre(n, k, seq)
         assert got == demoivre(n, k, convolution(seq))
         assert got == brute_force(n, k, [seq(j) for j in range(1, n + 1)])
+
+    @pytest.mark.parametrize("factory", [harmonic, inv_factorial])
+    @pytest.mark.parametrize("s", range(4))
+    def test_weighted_row_matches_the_convolution(self, factory, s):
+        """The row summed over one factorial against the loop over the
+        convolution triangle, with rational and with PolyW weights."""
+        lib = factory(s)
+        conv = CoeffSequence(lib.term)
+        rational = [Fraction((-1) ** k * (k + 2), 3 ** k + 1)
+                    for k in range(26)]
+        ring = [PolyW([k, PolyV([Fraction(1, k + 1), -k])])
+                for k in range(26)]
+        for m in range(26):
+            for weights in (rational, ring):
+                got = lib.weighted_row(m, weights)
+                assert got == conv.weighted_row(m, weights), (m, weights[0])
+                assert type(got) is type(weights[0])
 
     def test_stirling_associated_past_the_enumeration_cap(self):
         # n <= 40 against the convolution, rows visited in increasing m

@@ -104,17 +104,29 @@ def test_the_library_imports_no_ledger_or_cli(name):
         & set(package_modules(_tree(SRC / f"{name}.py")))
 
 
-def test_import_ramasym_loads_no_ledger_or_cli():
-    code = ("import sys, ramasym\n"
-            "print([m for m in ('ramasym.checks', 'ramasym.cli')\n"
-            "       if m in sys.modules])\n")
+def _loaded_after_import(module: str, watched: tuple) -> str:
+    """The modules of ``watched`` a fresh interpreter holds after
+    ``import module``, as printed."""
+    code = (f"import sys, {module}\n"
+            f"print([m for m in {watched!r} if m in sys.modules])\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_ramasym_loads_no_ledger_or_cli():
+    assert _loaded_after_import(
+        "ramasym", ("ramasym.checks", "ramasym.cli")) == "[]\n"
+
+
+def test_import_cli_loads_no_ledger():
+    """``verify`` imports the ledger when it runs; no other command
+    loads it."""
+    assert _loaded_after_import("ramasym.cli", ("ramasym.checks",)) == "[]\n"
 
 
 @pytest.mark.parametrize("code", [

@@ -13,7 +13,7 @@ import pytest
 
 from ramasym import checks
 from ramasym import coefficients as cf
-from ramasym.demoivre import clear_caches
+from ramasym.demoivre import _Library, clear_caches
 
 TINY = Fraction(1, 10 ** 9)
 
@@ -89,3 +89,24 @@ def test_a_wrong_family_value_fails_its_lines(monkeypatch, case):
 def test_a_wrong_route_value_fails_its_lines(monkeypatch, case):
     module, name, key, error, suite, want = case
     assert _failing(monkeypatch, module, name, key, error, suite) == want
+
+
+def test_a_wrong_library_row_fails_its_lines(monkeypatch):
+    """The row of 1/(j+1) at m = 2, summed over one factorial, feeds the U
+    family through PolyW weights; off there, the U lines fail."""
+    exact = _Library.weighted_row
+
+    def off_at_key(self, m, weights):
+        value = exact(self, m, weights)
+        return value + TINY if (self.kind, self.shift, m) == ("cycle", 1, 2) \
+            else value
+
+    clear_caches()
+    monkeypatch.setattr(_Library, "weighted_row", off_at_key)
+    try:
+        assert {c.item for c in fast_and_ident() if not c.ok} == {
+            "dual-u-closed-modes", "dual-u-recurrence",
+            "frozen-u-rational-functions"}
+    finally:
+        monkeypatch.undo()
+        clear_caches()

@@ -70,6 +70,90 @@ class TestPolyV:
             == ["1/3", "0", "-2/5"]
 
 
+def _trim(cs):
+    cs = [Fraction(x) for x in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_eval(cs, x):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_compose(a, b):
+    acc = ()
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, b), [c])
+    return acc
+
+
+def _canonical(p):
+    return (p.d > 0 and math.gcd(p.d, *p.n) == 1
+            and (not p.n or p.n[-1] != 0) and (p.n or p.d == 1))
+
+
+frac_lists = st.lists(fracs, max_size=6)
+
+
+class TestIntegerStore:
+    """PolyV's integer numerators over one denominator against a plain
+    Fraction-list reference."""
+
+    @given(frac_lists, frac_lists)
+    def test_ring_operations_match_the_reference(self, a, b):
+        p, q = PolyV(a), PolyV(b)
+        for got, want in ((PolyV(a), _trim(a)), (p + q, _ref_add(a, b)),
+                          (p - q, _ref_add(a, [-y for y in b])),
+                          (p * q, _ref_mul(a, b)), (-p, _trim(-x for x in a))):
+            assert _canonical(got)
+            assert got.c == want
+            assert all(type(x) is Fraction for x in got.c)
+
+    @given(frac_lists, scalars)
+    def test_scalar_product(self, a, c):
+        want = _trim(x * c for x in a)
+        for got in (PolyV(a) * c, c * PolyV(a), PolyV(a) + 0 * c):
+            assert _canonical(got)
+        assert (PolyV(a) * c).c == want and (c * PolyV(a)).c == want
+
+    @given(frac_lists, scalars | gaussians)
+    def test_evaluation_at_rationals_and_gaussians(self, a, x):
+        got, want = PolyV(a)(x), _ref_eval(_trim(a), x)
+        assert got == want and type(got) is type(want)
+
+    @given(frac_lists, frac_lists)
+    def test_evaluation_at_a_polynomial(self, a, b):
+        got = PolyV(a)(PolyV(b))
+        if not _trim(a):  # the zero polynomial is Fraction(0) everywhere
+            assert got == _ref_eval(a, PolyV(b)) == 0
+        else:
+            assert _canonical(got) and got.c == _ref_compose(a, b)
+
+    def test_equal_polynomials_store_equal_integers(self):
+        p = PolyV([Fraction(2, 6), Fraction(-4, 6), 0])
+        assert (p.n, p.d) == ((1, -2), 3)
+        assert (PolyV([0, 0]).n, PolyV([0, 0]).d) == ((), 1)
+        assert (p - p).d == 1 and p * 0 == PolyV()
+
+
 class TestBinomialPoly:
     @given(st.integers(0, 30), st.integers(0, 8))
     def test_matches_comb_at_naturals(self, n, m):
