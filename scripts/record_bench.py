@@ -12,7 +12,7 @@ the two sides taking turns and the side that goes first alternating:
   the medians and quartiles of every end-to-end metric;
 * the cold figures, each the median of three runs in a fresh interpreter
   with every memo empty: the 16 ``coeff-cold`` slots at their highest R,
-  and four larger tables;
+  and six larger tables;
 * ``ramasym verify all``: wall time and peak RSS;
 * tier-1 (``pytest -q``): wall time and the summary line.
 
@@ -50,7 +50,9 @@ _SLOT_CALL = {"rho": "cf.rho(r, {mode!r})",
               "U": "cf.U_coeff(r, {mode!r}, taylor_terms={terms})",
               "rho_zero": "cf.rho_zero(r)", "psi_zero": "cf.psi_zero(r)"}
 LARGE = {"rho(0..60)": "[cf.rho(r) for r in range(61)]",
+         "rho(0..100)": "[cf.rho(r) for r in range(101)]",
          "psi(30)": "cf.psi(30)",
+         "check_conjecture(100)": "cf.check_conjecture(100)",
          "check_conjecture(150)": "cf.check_conjecture(150)",
          "U_coeff(25)": "cf.U_coeff(25)"}
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
-from typing import Callable, Optional
+from itertools import count, islice
+from math import factorial, lcm
+from typing import Callable, Iterable, Optional
 
 from .combinat import binomial, double_factorial, eulerian2, stirling
 from .demoivre import CoeffSequence, harmonic, inv_factorial
@@ -44,8 +45,8 @@ def _check_mode(mode: str) -> None:
 def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
     """The v-dependent weight of the degree-(deg-m) outer term."""
     if mode == "plain":
-        return Fraction((-1) ** m) * binomial_poly(deg - m)
-    return PolyV.monomial(deg - m, Fraction(1, factorial(deg - m)))
+        return binomial_poly(deg - m) * (-1) ** m
+    return PolyV._of([0] * (deg - m) + [1], factorial(deg - m))
 
 
 def _double_sum(deg: int, seq: CoeffSequence, weights: list,
@@ -53,19 +54,26 @@ def _double_sum(deg: int, seq: CoeffSequence, weights: list,
     """sum_(m=lo..deg) outer(m) sum_k weights[k] A(m, k; seq), in the ring
     the weights and the outer factors live in: the saddle-point double sum
     every family and ``alpha_s`` are built from; the inner sum is the
-    sequence's ``weighted_row``, over one factorial for a library one."""
+    sequence's ``weighted_row``, over one factorial for a library one, with
+    rational weights as integers over their lcm d and 1/d applied once."""
+    d = 1
+    if all(isinstance(w, (int, Fraction)) for w in weights):
+        d = lcm(*(w.denominator for w in weights))
+        weights = [w.numerator * (d // w.denominator) for w in weights]
     total = Fraction(0)
     for m in range(lo, deg + 1):
         inner = seq.weighted_row(m, weights)
         if inner:
             total = total + outer(m) * inner
-    return total
+    return total if d == 1 else total * Fraction(1, d)
 
 
-def _weighted_sum(mode: str, deg: int, weight: Callable[[int], object],
+def _weighted_sum(mode: str, deg: int, weights: Iterable,
                   at_zero: bool = False, shift: int = 2):
     """The double sum over 1/(j+shift) (plain) or 1/(j+shift)! (tilde),
-    with the inner weights weight(k) and the v-dependent outer weights.
+    with the v-dependent outer weights and the inner weights, the first
+    deg + 1 of ``weights``: read only after the checks, and summed in the
+    rows as integers over one denominator when rational.
 
     Only the m = deg term survives at v = 0; ``at_zero`` keeps just that
     one, equal to the family's value at v = 0.
@@ -74,43 +82,46 @@ def _weighted_sum(mode: str, deg: int, weight: Callable[[int], object],
     if deg < 0:
         raise ValueError("index must be nonnegative")
     seq = harmonic(shift) if mode == "plain" else inv_factorial(shift)
-    return _double_sum(deg, seq, [weight(k) for k in range(deg + 1)],
+    return _double_sum(deg, seq, list(islice(weights, deg + 1)),
                        lambda m: _outer_weight(mode, m, deg),
                        deg if at_zero else 0)
 
 
-def _double_factorial_weight(base: int) -> Callable[[int], Fraction]:
-    """k -> (base + 2k)!! / ((-1)^k k!)."""
-    return lambda k: Fraction(double_factorial(base + 2 * k),
-                              (-1) ** k * factorial(k))
+def _double_factorial_weights(base: int):
+    """(base + 2k)!! / ((-1)^k k!) for k = 0, 1, ..., each from the one
+    before: w_(k+1) = w_k (base + 2k + 2) / -(k + 1)."""
+    w = Fraction(double_factorial(base))
+    for k in count(1):
+        yield w
+        w = Fraction(w.numerator * (base + 2 * k), w.denominator * -k)
 
 
 # Memos keyed by value: always called positionally, with every argument.
 
 @lru_cache(maxsize=None)
 def _rho_sum(r: int, mode: str, at_zero: bool) -> PolyV:
-    total = _weighted_sum(mode, 2 * r + 1, _double_factorial_weight(2 * r),
+    total = _weighted_sum(mode, 2 * r + 1, _double_factorial_weights(2 * r),
                           at_zero)
     return (1 if mode == "plain" and r == 0 else 0) - total
 
 
 @lru_cache(maxsize=None)
 def _gamma_sum(r: int, mode: str, at_zero: bool) -> PolyV:
-    return _weighted_sum(mode, 2 * r, _double_factorial_weight(2 * r - 1),
+    return _weighted_sum(mode, 2 * r, _double_factorial_weights(2 * r - 1),
                          at_zero)
 
 
 @lru_cache(maxsize=None)
 def _tau_sum(r: int, at_zero: bool) -> PolyV:
     return -_weighted_sum("plain", 2 * r + 1,
-                          _double_factorial_weight(2 * r - 1), at_zero)
+                          _double_factorial_weights(2 * r - 1), at_zero)
 
 
 @lru_cache(maxsize=None)
 def _beta(s: int, mode: str) -> Sqrt2Scaled:
     top = Fraction(-s - 1, 2)
-    total = _weighted_sum(mode, s,
-                          lambda k: Fraction(2) ** k * binomial(top, k))
+    total = _weighted_sum(mode, s, (2 ** k * binomial(top, k)
+                                    for k in count()))
     return Sqrt2Scaled(total, s - 1)
 
 
@@ -274,8 +285,8 @@ def _U_coeff(r: int, mode: str, taylor_terms: Optional[int]) -> RationalFnW:
             c = Fraction((-1) ** (k + 1) * factorial(r + k), factorial(k))
             return PolyW.w_monomial(k, c) * w_minus_1_pow(r - k)
 
-        num = _weighted_sum(form, r, weight, at_zero=mode.startswith("vzero"),
-                            shift=1)
+        num = _weighted_sum(form, r, map(weight, count()),
+                            at_zero=mode.startswith("vzero"), shift=1)
         if r == 0 and form == "plain":
             num = num + w_minus_1_pow(1)
         return RationalFnW(num, 2 * r + 1)

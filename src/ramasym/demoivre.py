@@ -10,15 +10,15 @@ sum of k-fold products of sequence entries.  Each ``CoeffSequence`` owns
 its triangle of values and grows it as queries need it, so repeated
 queries on one sequence are cheap.
 
-The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) made by ``harmonic``
-and ``inv_factorial`` keep no triangle: they read the integer
-associated-Stirling rows (``combinat.associated_row``), the one store of
-every sequence of one kind and shift, and sum each weighted row (the inner
-sum of every family) over one denominator, (m + s m)!.  Every other
-sequence takes truncated series convolution, row by row in k; its entries
-may live in any commutative ring that coerces ints and Fractions (exact
-rationals, polynomials, rational functions), since convolution only ever
-adds and multiplies.  The routes only the ledger reads live in ``checks``.
+The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) of ``harmonic`` and
+``inv_factorial`` keep no triangle: they read the integer rows
+``combinat.associated_row``, one store per kind and shift, and sum each
+weighted row (the inner sum of every family, rational weights coming as
+integers over one denominator) over one denominator, (m + s m)!.  Every
+other sequence takes truncated series convolution, row by row in k; its
+entries may live in any commutative ring that coerces ints and Fractions
+(exact rationals, polynomials, rational functions), since convolution
+only ever adds and multiplies.  The ledger's own routes are in ``checks``.
 """
 
 from __future__ import annotations

@@ -135,7 +135,9 @@ class PolyV(RingOps):
 
     def __mul__(self, other):
         """Integer convolution of the numerators over the product of the
-        denominators; a scalar p/q is the one-term case."""
+        denominators; a scalar p/q is one term, an int scales ``n``."""
+        if isinstance(other, int):
+            return self._of([x * other for x in self.n], self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -238,6 +240,8 @@ class PolyW(RingOps):
         return PolyW([-x for x in self.c])
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return PolyW([x * other for x in self.c])
         o = self._coerce(other)
         if o is NotImplemented:
             return o

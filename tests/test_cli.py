@@ -109,6 +109,11 @@ class TestCoeff:
         code, _, err = run(capsys, "coeff", "rho", "--r", "-2")
         assert code == 1 and "error:" in err
 
+    def test_negative_index_message(self, capsys):
+        code, out, err = run(capsys, "coeff", "rho", "--r", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: index must be nonnegative\n"
+
     @pytest.mark.parametrize("r,terms", [("0", "0"), ("2", "-3")])
     def test_taylor_section_under_one_term_exits_one(self, capsys, r, terms):
         code, out, err = run(capsys, "coeff", "U", "--r", r, "--mode",

@@ -6,6 +6,7 @@ import sys
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -15,6 +16,7 @@ from mpmath import mp
 
 from ramasym import checks
 from ramasym import coefficients as cf
+from ramasym.combinat import double_factorial
 from ramasym.coefficients import (SaddleData, U_coeff, alpha_s, beta,
                                   check_conjecture, gamma_coeff, gamma_zero,
                                   psi, psi_zero, rho, rho_zero, tau, tau_zero)
@@ -224,6 +226,54 @@ class TestConjecture:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_conjecture(-1)
+
+
+_INDEX = "index must be nonnegative"
+_R = "r must be nonnegative"
+_MODE = "mode must be one of ('plain', 'tilde')"
+
+
+class TestErrorContract:
+    """The exact messages for a negative index and an unknown mode: the
+    argument checks run before any weight is built, so a negative index
+    never reaches the double factorial, and the mode error wins over the
+    index error."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: rho(-1), _INDEX), (lambda: rho(-1, "bogus"), _MODE),
+        (lambda: rho(2, "bogus"), _MODE),
+        (lambda: gamma_coeff(-1), _INDEX),
+        (lambda: gamma_coeff(-1, "bogus"), _MODE),
+        (lambda: gamma_coeff(1, "bogus"), _MODE),
+        (lambda: tau(-1), _INDEX), (lambda: tau(-3), _INDEX),
+        (lambda: psi(-1), _R),
+        (lambda: rho_zero(-1), _INDEX), (lambda: rho_zero(-1, "bogus"), _MODE),
+        (lambda: rho_zero(1, "bogus"), _MODE),
+        (lambda: gamma_zero(-1), _INDEX),
+        (lambda: gamma_zero(-2, "bogus"), _MODE),
+        (lambda: tau_zero(-1), _INDEX), (lambda: tau_zero(-3), _INDEX),
+        (lambda: beta(-1), _INDEX), (lambda: beta(-2, "bogus"), _MODE),
+        (lambda: beta(1, "bogus"), _MODE),
+        (lambda: U_coeff(-1), _R), (lambda: U_coeff(-1, "tilde"), _R),
+        (lambda: U_coeff(-2, "vzero_harmonic"), _R),
+        (lambda: U_coeff(-1, "bogus"), "mode must be one of ('plain', "
+         "'tilde', 'vzero_harmonic', 'vzero_factorial', 'eulerian', "
+         "'taylor')"),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+class TestDoubleFactorialWeights:
+    def test_one_step_weights_match_the_closed_form(self):
+        for base in range(-1, 61):
+            got = list(islice(cf._double_factorial_weights(base), 61))
+            assert got == [Fraction(double_factorial(base + 2 * k),
+                                    (-1) ** k * factorial(k))
+                           for k in range(61)], base
+            assert all(type(w) is Fraction for w in got)
 
 
 class TestPsiDivision:

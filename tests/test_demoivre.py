@@ -137,18 +137,21 @@ class TestIntegerRoute:
     @pytest.mark.parametrize("s", range(4))
     def test_weighted_row_matches_the_convolution(self, factory, s):
         """The row summed over one factorial against the loop over the
-        convolution triangle, with rational and with PolyW weights."""
+        convolution triangle, with int weights (rational weights as
+        ``_double_sum`` passes them), Fraction and PolyW weights."""
         lib = factory(s)
         conv = CoeffSequence(lib.term)
+        integer = [(-1) ** k * (k + 2) * 10 ** (2 * k) for k in range(26)]
         rational = [Fraction((-1) ** k * (k + 2), 3 ** k + 1)
                     for k in range(26)]
         ring = [PolyW([k, PolyV([Fraction(1, k + 1), -k])])
                 for k in range(26)]
         for m in range(26):
-            for weights in (rational, ring):
+            for weights, kind in ((integer, Fraction), (rational, Fraction),
+                                  (ring, PolyW)):
                 got = lib.weighted_row(m, weights)
                 assert got == conv.weighted_row(m, weights), (m, weights[0])
-                assert type(got) is type(weights[0])
+                assert type(got) is kind
 
     def test_stirling_associated_past_the_enumeration_cap(self):
         # n <= 40 against the convolution, rows visited in increasing m

@@ -110,3 +110,38 @@ def test_a_wrong_library_row_fails_its_lines(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+# (base, k) of one weight (base + 2k)!!/((-1)^k k!), and the failing lines;
+# base 2r serves rho_r, base 2r - 1 both gamma_r and tau_r
+DOUBLE_FACTORIAL = [
+    ((4, 1), {"anchor-rho-from-beta", "anchor-rho-tilde-from-beta",
+              "dual-rho-recurrence", "dual-rho-scalar-sums",
+              "frozen-rho-at-zero", "frozen-rho-polynomials",
+              "rho-from-associated-cycle", "rho-from-associated-subset"}),
+    ((3, 0), {"anchor-gamma-from-beta", "dual-gamma-recurrence",
+              "frozen-psi-polynomials"}),
+]
+
+
+@pytest.mark.parametrize("key,want", DOUBLE_FACTORIAL,
+                         ids=[f"base{b}-k{k}" for (b, k), _ in
+                              DOUBLE_FACTORIAL])
+def test_a_wrong_double_factorial_weight_fails_its_lines(monkeypatch, key,
+                                                         want):
+    """Plain and tilde read the same weights, yet their sums weigh a wrong
+    weight differently, so the dual lines fail.  The weight at k = 0 meets
+    only the row m = 0, which has no v = 0 term, so no v = 0 line sees it."""
+    exact = cf._double_factorial_weights
+
+    def off_at_key(base):
+        for k, w in enumerate(exact(base)):
+            yield w + TINY if (base, k) == key else w
+
+    clear_caches()
+    monkeypatch.setattr(cf, "_double_factorial_weights", off_at_key)
+    try:
+        assert {c.item for c in fast_and_ident() if not c.ok} == want
+    finally:
+        monkeypatch.undo()
+        clear_caches()

@@ -111,6 +111,7 @@ def _canonical(p):
 
 
 frac_lists = st.lists(fracs, max_size=6)
+ints = st.integers(-10 ** 40, 10 ** 40) | st.sampled_from([0, -1, 1])
 
 
 class TestIntegerStore:
@@ -133,6 +134,20 @@ class TestIntegerStore:
         for got in (PolyV(a) * c, c * PolyV(a), PolyV(a) + 0 * c):
             assert _canonical(got)
         assert (PolyV(a) * c).c == want and (c * PolyV(a)).c == want
+
+    @given(frac_lists, ints)
+    def test_int_product_matches_the_coerced_product(self, a, c):
+        p = PolyV(a)
+        for got in (p * c, c * p):
+            assert _canonical(got)
+            assert got == p * Fraction(c) and got.c == _trim(x * c for x in a)
+
+    @given(polyws, ints)
+    def test_polyw_int_product_matches_the_coerced_product(self, w, c):
+        for got in (w * c, c * w):
+            assert got == w * PolyW([Fraction(c)])
+            assert all(_canonical(x) for x in got.c)
+            assert not got.c or got.c[-1]
 
     @given(frac_lists, scalars | gaussians)
     def test_evaluation_at_rationals_and_gaussians(self, a, x):
