@@ -14,6 +14,9 @@ the two sides taking turns and the side that goes first alternating:
   with every memo empty: the 16 ``coeff-cold`` slots at their highest R,
   and six larger tables;
 * ``ramasym verify all``: wall time and peak RSS;
+* each acceptance criterion (``tests/test_acceptance.py::test_*``) in a
+  pytest process of its own: the median wall time of three runs and the
+  exit status;
 * tier-1 (``pytest -q``): wall time and the summary line.
 
 The machine, the Python and mpmath versions and the two commits go in too.
@@ -51,10 +54,15 @@ _SLOT_CALL = {"rho": "cf.rho(r, {mode!r})",
               "rho_zero": "cf.rho_zero(r)", "psi_zero": "cf.psi_zero(r)"}
 LARGE = {"rho(0..60)": "[cf.rho(r) for r in range(61)]",
          "rho(0..100)": "[cf.rho(r) for r in range(101)]",
+         "rho(100)": "cf.rho(100)",
          "psi(30)": "cf.psi(30)",
          "check_conjecture(100)": "cf.check_conjecture(100)",
          "check_conjecture(150)": "cf.check_conjecture(150)",
-         "U_coeff(25)": "cf.U_coeff(25)"}
+         "U_coeff(25)": "cf.U_coeff(25)",
+         "U_coeff(0..25, tilde)":
+             "[cf.U_coeff(r, 'tilde') for r in range(26)]",
+         "U_coeff(0..40, eulerian)":
+             "[cf.U_coeff(r, 'eulerian') for r in range(41)]"}
 
 
 def _slots(side: Path) -> dict:
@@ -81,6 +89,14 @@ def _run(side: Path, argv: list) -> tuple:
     proc = subprocess.run(argv, cwd=side, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     return proc.stdout, time.perf_counter() - t0, proc.returncode
+
+
+def _criteria(side: Path) -> list:
+    """The node ids of the acceptance criteria, as pytest collects them."""
+    out, _, _ = _run(side, [sys.executable, "-m", "pytest", "-q",
+                            "--collect-only", "-p", "no:cacheprovider",
+                            "tests/test_acceptance.py"])
+    return [line for line in out.splitlines() if "::test_" in line]
 
 
 def _cold(side: Path, stmt: str) -> float:
@@ -214,6 +230,15 @@ def main(argv=None) -> int:
         for i in range(2):
             for name, side in turns(i):
                 verify.setdefault(name, []).append(_verify_all(side))
+        criteria = {name: {c: [] for c in _criteria(sides["change"])}
+                    for name in sides}
+        for i in range(COLD_REPEATS):
+            for node in criteria["change"]:
+                for name, side in turns(i):
+                    _, wall, rc = _run(side, [
+                        sys.executable, "-m", "pytest", "-q",
+                        "-p", "no:cacheprovider", node])
+                    criteria[name][node].append((wall, rc))
         for name, side in turns(0):
             out, wall, rc = _run(side, [
                 sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -244,6 +269,10 @@ def main(argv=None) -> int:
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in verify[name]),
                 "summary": verify[name][0]["summary"],
                 "exit": verify[name][0]["exit"]},
+            "acceptance": {
+                node: {"wall_s": statistics.median(w for w, _ in runs),
+                       "exits": [rc for _, rc in runs]}
+                for node, runs in criteria[name].items()},
             "tier1": tier1[name]}
     report["compare"] = {
         w: {metric: _compare(bench["base"][w][metric],

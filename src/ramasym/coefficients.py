@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, islice
-from math import factorial, lcm
+from math import factorial, lcm, perm
 from typing import Callable, Iterable, Optional
 
 from .combinat import binomial, double_factorial, eulerian2, stirling
@@ -52,14 +52,12 @@ def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
 def _double_sum(deg: int, seq: CoeffSequence, weights: list,
                 outer: Callable[[int], object], lo: int = 0):
     """sum_(m=lo..deg) outer(m) sum_k weights[k] A(m, k; seq), in the ring
-    the weights and the outer factors live in: the saddle-point double sum
-    every family and ``alpha_s`` are built from; the inner sum is the
-    sequence's ``weighted_row``, over one factorial for a library one, with
-    rational weights as integers over their lcm d and 1/d applied once."""
-    d = 1
-    if all(isinstance(w, (int, Fraction)) for w in weights):
-        d = lcm(*(w.denominator for w in weights))
-        weights = [w.numerator * (d // w.denominator) for w in weights]
+    the outer factors live in: the saddle-point double sum every family and
+    ``alpha_s`` are built from.  The weights are rational; they reach the
+    sequence's ``weighted_row`` (over one factorial for a library one) as
+    integers over their lcm d, and 1/d is applied once."""
+    d = lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (d // w.denominator) for w in weights]
     total = Fraction(0)
     for m in range(lo, deg + 1):
         inner = seq.weighted_row(m, weights)
@@ -71,9 +69,9 @@ def _double_sum(deg: int, seq: CoeffSequence, weights: list,
 def _weighted_sum(mode: str, deg: int, weights: Iterable,
                   at_zero: bool = False, shift: int = 2):
     """The double sum over 1/(j+shift) (plain) or 1/(j+shift)! (tilde),
-    with the v-dependent outer weights and the inner weights, the first
-    deg + 1 of ``weights``: read only after the checks, and summed in the
-    rows as integers over one denominator when rational.
+    with the v-dependent outer weights and the rational inner weights, the
+    first deg + 1 of ``weights``: read only after the checks, and summed in
+    the rows as integers over one denominator.
 
     Only the m = deg term survives at v = 0; ``at_zero`` keeps just that
     one, equal to the family's value at v = 0.
@@ -274,40 +272,32 @@ def _U_coeff(r: int, mode: str, taylor_terms: Optional[int]) -> RationalFnW:
         raise ValueError(f"taylor_terms does not apply to mode {mode}")
 
     if mode in ("plain", "tilde", "vzero_harmonic", "vzero_factorial"):
-        # the families' sum over 1/(j+1) or 1/(j+1)!, with the PolyW weight
-        # w^(1 or k) (w-1)^(r-k) c_k; the v = 0 modes keep its m = r term
+        # N = sum_k Q_k(v) w^(1 or k) (w-1)^(r-k), by Horner in (w-1) with
+        # N (w-1) = N w - N; Q_k is the families' sum over 1/(j+1) or
+        # 1/(j+1)! with the one weight c_k = -+(r+k)!/k! at k (the v = 0
+        # modes keep its m = r term)
         form = "plain" if mode in ("plain", "vzero_harmonic") else "tilde"
-
-        def weight(k):
-            if form == "plain":
-                c = Fraction(-factorial(r + k), factorial(k))
-                return PolyW.w_monomial(1, c) * w_minus_1_pow(r - k)
-            c = Fraction((-1) ** (k + 1) * factorial(r + k), factorial(k))
-            return PolyW.w_monomial(k, c) * w_minus_1_pow(r - k)
-
-        num = _weighted_sum(form, r, map(weight, count()),
-                            at_zero=mode.startswith("vzero"), shift=1)
+        num = PolyW()
+        for k in range(r + 1):
+            c = perm(r + k, r) * (-1 if form == "plain" else (-1) ** (k + 1))
+            q = _weighted_sum(form, r, [0] * k + [c] + [0] * (r - k),
+                              at_zero=mode.startswith("vzero"), shift=1)
+            num = PolyW([0, *num.c]) - num + PolyW.w_monomial(
+                1 if form == "plain" else k, q)
         if r == 0 and form == "plain":
             num = num + w_minus_1_pow(1)
         return RationalFnW(num, 2 * r + 1)
 
     if mode == "eulerian":
-        num = w_minus_1_pow(2 * r + 1) if r == 0 else PolyW()
-        for j in range(max(r, 1)):
-            E = eulerian2(r, j)
-            if E:
-                num = num + PolyW.w_monomial(
-                    j + 1, PolyV.const(Fraction((-1) ** (r + 1) * E)))
-        return RationalFnW(num, 2 * r + 1)
+        return RationalFnW(PolyW([-int(r == 0)] + [
+            (-1) ** (r + 1) * eulerian2(r, j) for j in range(r)]), 2 * r + 1)
 
     # taylor
     if taylor_terms is None or taylor_terms < 1:
         raise ValueError("taylor mode needs taylor_terms >= 1")
-    coeffs = [PolyV.const(1 if r == 0 else 0)]
-    for j in range(1, taylor_terms):
-        coeffs.append(PolyV.const(
-            Fraction((-1) ** r * stirling("subset", r + j, j))))
-    return RationalFnW(PolyW(coeffs), 0)
+    return RationalFnW(PolyW([int(r == 0)] + [
+        (-1) ** r * stirling("subset", r + j, j)
+        for j in range(1, taylor_terms)]), 0)
 
 
 # ---------------------------------------------------------------------------

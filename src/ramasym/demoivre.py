@@ -13,8 +13,9 @@ queries on one sequence are cheap.
 The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) of ``harmonic`` and
 ``inv_factorial`` keep no triangle: they read the integer rows
 ``combinat.associated_row``, one store per kind and shift, and sum each
-weighted row (the inner sum of every family, rational weights coming as
-integers over one denominator) over one denominator, (m + s m)!.  Every
+weighted row, the inner sum of every family, over one denominator,
+(m + s m)!.  The weights are always rational and arrive as integers over
+one denominator; U splits its w-dependence off by Horner in (w - 1).  Every
 other sequence takes truncated series convolution, row by row in k; its
 entries may live in any commutative ring that coerces ints and Fractions
 (exact rationals, polynomials, rational functions), since convolution
@@ -79,7 +80,8 @@ class CoeffSequence:
         return rows[k][n]
 
     def weighted_row(self, m: int, weights: list):
-        """sum_(k<=m) weights[k] A(m, k), in the ring of the weights."""
+        """sum_(k<=m) weights[k] A(m, k), in the ring of the entries; the
+        caller hands in integer weights (rationals over one denominator)."""
         acc = _ZERO
         for k in range(m + 1):
             A = self.value(m, k)
@@ -103,10 +105,10 @@ class _Library(CoeffSequence):
                         factorial(n + s * k))
 
     def weighted_row(self, m: int, weights: list):
-        """sum_k weights[k] A(m, k) over the one denominator (m + s m)!: the
-        integer c = k! (m + s m)!/(m + s k)! is carried down k, so each term
-        is weights[k] times the integer c T_s(m, k), and the sum is scaled
-        by 1/(m + s m)! once."""
+        """sum_k weights[k] A(m, k) over the one denominator (m + s m)!,
+        the caller handing in integer weights: c = k! (m + s m)!/(m + s k)!
+        is carried down k, so each term is the integer weights[k] c
+        T_s(m, k), and the sum is scaled by 1/(m + s m)! once."""
         s = self.shift
         row = associated_row(self.kind, s, m)
         c, acc = factorial(m), 0

@@ -240,8 +240,6 @@ class PolyW(RingOps):
         return PolyW([-x for x in self.c])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyW([x * other for x in self.c])
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -388,18 +386,10 @@ class RationalFnW(RingOps):
         if self.e == 0:
             return [self.num.coeff(j) for j in range(terms)]
         # 1/(w-1)^e = (-1)^e * sum_j C(e-1+j, j) w^j
-        out = []
         sign = (-1) ** self.e
-        top_deg = len(self.num.c) - 1
-        for j in range(terms):
-            acc = PolyV()
-            for i in range(min(j, top_deg) + 1):
-                if self.num.coeff(i):
-                    k = j - i
-                    acc = acc + self.num.coeff(i) * Fraction(
-                        sign * comb(self.e - 1 + k, k))
-            out.append(acc)
-        return out
+        return [sum((c * (sign * comb(self.e - 1 + j - i, j - i))
+                     for i, c in enumerate(self.num.c[:j + 1]) if c), PolyV())
+                for j in range(terms)]
 
     def max_v_degree(self) -> int:
         d = 0
@@ -459,11 +449,15 @@ class Sqrt2Scaled:
         if isinstance(other, Sqrt2Scaled):
             return Sqrt2Scaled(self.poly * other.poly,
                                self.half_pow + other.half_pow)
+        if not isinstance(other, (PolyV, int, Fraction)):
+            return NotImplemented
         return Sqrt2Scaled(self.poly * other, self.half_pow)
 
     def __eq__(self, other):
-        if not isinstance(other, Sqrt2Scaled):
+        if isinstance(other, (PolyV, int, Fraction)):
             other = Sqrt2Scaled(other, 0)
+        if not isinstance(other, Sqrt2Scaled):
+            return NotImplemented
         if not self.poly and not other.poly:
             return True
         if (self.half_pow - other.half_pow) % 2:

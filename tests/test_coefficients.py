@@ -184,11 +184,17 @@ class TestUModes:
         assert u.max_v_degree() == 0
 
     def test_taylor_mode_sections(self):
-        for r in range(4):
-            exact = U_coeff(r).taylor_at_zero(9)
-            tay = U_coeff(r, "taylor", taylor_terms=9)
-            for j in range(9):
-                assert tay.num.coeff(j)(Fraction(0)) == exact[j](Fraction(0))
+        # the taylor mode reads only Stirling subset numbers, so this checks
+        # every assembled numerator, past the golden range r <= 12, by a
+        # route with no saddle-sum code
+        for r in range(21):
+            tay = U_coeff(r, "taylor", taylor_terms=16)
+            for mode in ("plain", "tilde", "vzero_harmonic",
+                         "vzero_factorial", "eulerian"):
+                exact = U_coeff(r, mode).taylor_at_zero(16)
+                for j in range(16):
+                    assert tay.num.coeff(j)(Fraction(0)) \
+                        == exact[j](Fraction(0)), (r, mode, j)
 
     def test_taylor_mode_needs_terms(self):
         # a section of fewer than one term is refused, not cut to one

@@ -43,6 +43,10 @@ FAMILIES = [
     (cf, "_rho_sum", (2, "plain", True), TINY, fast_and_ident,
      {"dual-rho-scalar-sums", "frozen-rho-at-zero",
       "rho-from-associated-cycle", "rho-from-associated-subset"}),
+    # the closed U modes read these by name in ``coefficients``
+    (cf, "eulerian2", (5, 2), 1, fast,
+     {"dual-u-closed-modes", "dual-u-taylor-sections"}),
+    (cf, "stirling", ("subset", 8, 3), 1, fast, {"dual-u-taylor-sections"}),
 ]
 ROUTES = [
     (checks, "special_closed_forms", (5, 2, "cycle2"), TINY, ident,
@@ -92,8 +96,8 @@ def test_a_wrong_route_value_fails_its_lines(monkeypatch, case):
 
 
 def test_a_wrong_library_row_fails_its_lines(monkeypatch):
-    """The row of 1/(j+1) at m = 2, summed over one factorial, feeds the U
-    family through PolyW weights; off there, the U lines fail."""
+    """The row of 1/(j+1) at m = 2, summed over one factorial, feeds each
+    of the U family's sums Q_k; off there, the U lines fail."""
     exact = _Library.weighted_row
 
     def off_at_key(self, m, weights):

@@ -396,6 +396,19 @@ class TestSqrt2Scaled:
         a = Sqrt2Scaled(PolyV([1]), 1)
         assert (a * a).to_polyv() == PolyV([2])
 
+    def test_an_operand_it_cannot_hold_is_not_implemented(self):
+        # as the ring types' ``_coerce``: no exception, no silent conversion
+        a = Sqrt2Scaled(PolyV([1]), 1)
+        for other in (None, "x", 1.5):
+            assert a != other and not a == other
+            assert a.__eq__(other) is NotImplemented
+            assert a.__mul__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                a * other
+        assert Sqrt2Scaled(PolyV([3]), 0) == 3
+        assert Sqrt2Scaled(PolyV([2]), 2) == PolyV([4])
+        assert (a * Fraction(1, 2)).poly == PolyV([Fraction(1, 2)])
+
     def test_str_forms(self):
         assert str(Sqrt2Scaled(PolyV([1, 1]), 2)) == "2 + 2*v"
         assert str(Sqrt2Scaled(PolyV([1]), -1)) == "sqrt2^-1 * (1)"
