@@ -10,13 +10,15 @@ the two sides taking turns and the side that goes first alternating:
 
 * ``perfbench/run.py`` on every workload in ten pairs, pair i at seed i;
   the medians and quartiles of every end-to-end metric;
-* the cold figures, each the median of three runs in a fresh interpreter
+* ``perfbench/run.py --trace 1`` on every workload at seeds 1 to 3; the
+  medians and quartiles of every per-layer metric;
+* the cold figures, each the median of five runs in a fresh interpreter
   with every memo empty: the 16 ``coeff-cold`` slots at their highest R,
-  and six larger tables;
+  and nine larger tables;
 * ``ramasym verify all``: wall time and peak RSS;
 * each acceptance criterion (``tests/test_acceptance.py::test_*``) in a
-  pytest process of its own: the median wall time of three runs and the
-  exit status;
+  pytest process of its own: the median wall time of five runs and the
+  exit statuses;
 * tier-1 (``pytest -q``): wall time and the summary line.
 
 The machine, the Python and mpmath versions and the two commits go in too.
@@ -42,7 +44,8 @@ import mpmath
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("coeff-cold", "eval-warm", "oracle-sweep", "ledger-cold")
 PAIRS = 10
-COLD_REPEATS = 3
+TRACE_SEEDS = 3
+COLD_REPEATS = 5
 
 # one table per fresh interpreter: (name, the statement that builds it);
 # the statement runs with ``cf`` bound to ramasym.coefficients
@@ -89,6 +92,14 @@ def _run(side: Path, argv: list) -> tuple:
     proc = subprocess.run(argv, cwd=side, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     return proc.stdout, time.perf_counter() - t0, proc.returncode
+
+
+def _perfbench(side: Path, workload: str, seed: int, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in side: its closing JSON object."""
+    out, _, _ = _run(side, [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", "10", "--trace", str(trace)])
+    return json.loads(out.splitlines()[-1])
 
 
 def _criteria(side: Path) -> list:
@@ -210,16 +221,22 @@ def main(argv=None) -> int:
         for i in range(PAIRS):
             for w in WORKLOADS:
                 for name, side in turns(i):
-                    out, _, _ = _run(side, [
-                        sys.executable, "perfbench/run.py", "--workload", w,
-                        "--seed", str(i + 1), "--seconds", "10"])
-                    res = json.loads(out.splitlines()[-1])
+                    res = _perfbench(side, w, i + 1, 0)
                     rec = bench[name][w]
                     for key in ("correct", "attempted", "failed"):
                         rec.setdefault(key, []).append(res[key])
                     for metric, m in res["metrics"].items():
                         rec.setdefault(metric, []).append(m["value"])
             print(f"pair {i + 1}/{PAIRS} done", file=sys.stderr)
+
+        layers = {name: {w: {} for w in WORKLOADS} for name in sides}
+        for i in range(TRACE_SEEDS):
+            for w in WORKLOADS:
+                for name, side in turns(i):
+                    res = _perfbench(side, w, i + 1, 1)
+                    for metric, m in res["metrics"].items():
+                        layers[name][w].setdefault(metric, []).append(
+                            m["value"])
 
         times = {name: {k: [] for k in cold} for name in sides}
         for i in range(COLD_REPEATS):
@@ -249,7 +266,8 @@ def main(argv=None) -> int:
     slot_keys = [k for k in cold if "/" in k]
     report = {"machine": _machine(), "commits": commits,
               "pairs": PAIRS, "seeds": list(range(1, PAIRS + 1)),
-              "sides": {}}
+              "trace_seeds": list(range(1, TRACE_SEEDS + 1)),
+              "cold_repeats": COLD_REPEATS, "sides": {}}
     for name in sides:
         per = {}
         for w, rec in bench[name].items():
@@ -262,8 +280,11 @@ def main(argv=None) -> int:
         med = {k: statistics.median(v) for k, v in times[name].items()}
         report["sides"][name] = {
             "workloads": per,
+            "per_layer": {w: {metric: _stats(v) for metric, v in rec.items()}
+                          for w, rec in layers[name].items()},
             "cold_s": {"coeff_slots_sum": sum(med[k] for k in slot_keys),
                        **med},
+            "cold_runs_s": times[name],
             "verify_all": {
                 "wall_s": _stats([r["wall_s"] for r in verify[name]]),
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in verify[name]),

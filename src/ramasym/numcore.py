@@ -3,9 +3,9 @@ arbitrary-precision floats.
 
 Every exact quantity in this package is built on :class:`fractions.Fraction`
 or on :class:`GaussianRational`, a complex number with rational real and
-imaginary parts.  :class:`RingOps` writes the operators every exact ring
-type derives from its own coercion, sum, negation and product once: the
-reflected sum and product, subtraction, and integer powers by squaring.
+imaginary parts.  :class:`RingOps` writes every binary operator of the
+exact ring types once, over each type's own coercion and arithmetic, with
+integer powers by squaring.
 Approximate quantities go through mpmath, but only via
 :func:`verified_eval`, which evaluates each requested expression at two
 working precisions (p and p + 64 bits) and only releases a result once the
@@ -55,14 +55,30 @@ def format_rational(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 class RingOps:
-    """Operators derived from a type's ``_coerce``, ``__add__``, ``__neg__``
-    and ``__mul__`` (commutative), and from ``inverse`` for negative powers.
+    """Every binary operator of an exact ring type, written once over the
+    type's ``_coerce``, ``_add``, ``__neg__``, ``_mul`` (commutative) and
+    ``_eq``, and ``inverse`` for negative powers.
 
-    ``_coerce`` maps an accepted operand into the type and returns
-    ``NotImplemented`` for anything else.
+    ``_coerce`` maps an operand into the type, or gives ``NotImplemented``
+    when the type cannot hold it; Python then raises ``TypeError`` for an
+    arithmetic operator, and ``==`` is False.  ``_add``, ``_mul`` and
+    ``_eq`` see an operand of the type.  No ``__hash__``: a ring type is
+    unhashable unless it writes one.
     """
 
     __slots__ = ()
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._add(o)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._mul(o)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._eq(o)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -72,15 +88,11 @@ class RingOps:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        return o if o is NotImplemented else self._add(-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o + (-self)
+        return o if o is NotImplemented else o._add(-self)
 
     def __pow__(self, n: int):
         """Square and multiply (Knuth, TAOCP vol. 2, 4.6.3)."""
@@ -104,7 +116,7 @@ class RingOps:
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianRational(RingOps):
     """Exact complex number a + bi with rational a, b."""
 
@@ -119,19 +131,13 @@ class GaussianRational(RingOps):
             return GaussianRational(Fraction(x), Fraction(0))
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _add(self, o):
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _mul(self, o):
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -162,14 +168,12 @@ class GaussianRational(RingOps):
             return o
         return o * self.inverse()
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def _eq(self, o):
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """Equal values hash equal: a real one as its rational part."""
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

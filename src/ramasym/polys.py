@@ -121,10 +121,7 @@ class PolyV(RingOps):
             return cls._of([x.numerator], x.denominator)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _add(self, o):
         d = lcm(self.d, o.d)
         a, b = d // self.d, d // o.d
         return self._of([x * a + y * b for x, y in
@@ -134,13 +131,14 @@ class PolyV(RingOps):
         return self._of([-x for x in self.n], self.d)
 
     def __mul__(self, other):
-        """Integer convolution of the numerators over the product of the
-        denominators; a scalar p/q is one term, an int scales ``n``."""
+        """An int scales ``n``; anything else goes through RingOps."""
         if isinstance(other, int):
             return self._of([x * other for x in self.n], self.d)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+        return RingOps.__mul__(self, other)
+
+    def _mul(self, o):
+        """Integer convolution of the numerators over the product of the
+        denominators; a scalar p/q is one term."""
         out = [0] * (len(self.n) + len(o.n) - 1)
         for i, a in enumerate(self.n):
             if a:
@@ -148,10 +146,7 @@ class PolyV(RingOps):
                     out[j] += a * b
         return self._of(out, self.d * o.d)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def _eq(self, o):
         return self.n == o.n and self.d == o.d
 
     def __bool__(self):
@@ -229,20 +224,14 @@ class PolyW(RingOps):
             return PolyW([x])
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _add(self, o):
         return PolyW([a + b for a, b in
                       zip_longest(self.c, o.c, fillvalue=PolyV())])
 
     def __neg__(self):
         return PolyW([-x for x in self.c])
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _mul(self, o):
         out = [PolyV()] * (len(self.c) + len(o.c) - 1)
         for i, a in enumerate(self.c):
             if a:
@@ -251,10 +240,7 @@ class PolyW(RingOps):
                         out[i + j] = out[i + j] + a * b
         return PolyW(out)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def _eq(self, o):
         return self.c == o.c
 
     def __bool__(self):
@@ -326,10 +312,7 @@ class RationalFnW(RingOps):
             return RationalFnW(x, 0)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _add(self, o):
         e = max(self.e, o.e)
         n = (self.num * w_minus_1_pow(e - self.e)
              + o.num * w_minus_1_pow(e - o.e))
@@ -338,10 +321,7 @@ class RationalFnW(RingOps):
     def __neg__(self):
         return RationalFnW(-self.num, self.e)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _mul(self, o):
         return RationalFnW(self.num * o.num, self.e + o.e)
 
     def inverse(self) -> "RationalFnW":
@@ -362,10 +342,7 @@ class RationalFnW(RingOps):
             return RationalFnW(inv_c * w_minus_1_pow(self.e - d), 0)
         return RationalFnW(inv_c, d - self.e)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def _eq(self, o):
         return self.e == o.e and self.num == o.num
 
     def __bool__(self):
@@ -452,6 +429,8 @@ class Sqrt2Scaled:
         if not isinstance(other, (PolyV, int, Fraction)):
             return NotImplemented
         return Sqrt2Scaled(self.poly * other, self.half_pow)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (PolyV, int, Fraction)):

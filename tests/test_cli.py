@@ -77,15 +77,29 @@ class TestCoeff:
             poly = PolyV([parse_rational(c) for c in rec["polyV"]])
             assert poly == gamma_coeff(rec["r"])
 
-    @pytest.mark.parametrize("family", ["rho", "gamma", "tau", "psi", "beta"])
+    @pytest.mark.parametrize("family",
+                             ["rho", "gamma", "tau", "psi", "beta", "U"])
     def test_upto_evaluates_at_v(self, capsys, family):
-        code, out, _ = run(capsys, "coeff", family, "--upto", "2",
-                           "--v", "1/2")
+        point = ("--w", "1/2", "--v", "2") if family == "U" else ("--v", "1/2")
+        code, out, _ = run(capsys, "coeff", family, "--upto", "2", *point)
         records = json.loads(out)
         single = [json.loads(run(capsys, "coeff", family, "--r", str(r),
-                                 "--v", "1/2")[1]) for r in range(3)]
+                                 *point)[1]) for r in range(3)]
         assert code == 0 and records == [
             {"r": r, "value": value} for r, value in enumerate(single)]
+
+    def test_upto_records_carry_the_sqrt2_power(self, capsys):
+        code, out, err = run(capsys, "coeff", "beta", "--upto", "2")
+        assert (code, err) == (0, "") and out == (
+            '[{"r": 0, "polyV": ["1"], "sqrt2Power": -1}, '
+            '{"r": 1, "polyV": ["2/3", "1"], "sqrt2Power": 0}, '
+            '{"r": 2, "polyV": ["1/12", "1/2", "1/2"], "sqrt2Power": 1}]\n')
+
+    def test_upto_records_of_u_are_symbolic(self, capsys):
+        code, out, err = run(capsys, "coeff", "U", "--upto", "1")
+        assert (code, err) == (0, "") and out == (
+            '[{"r": 0, "value": "1/(1-w)"}, '
+            '{"r": 1, "value": "-w/(1-w)^3 - v*w/(1-w)^2"}]\n')
 
     def test_negative_upto_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

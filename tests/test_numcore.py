@@ -74,6 +74,13 @@ class TestGaussianRational:
         with pytest.raises(ZeroDivisionError):
             GaussianRational().inverse()
 
+    @given(rationals)
+    def test_a_real_value_hashes_as_its_rational_part(self, q):
+        g = GaussianRational(q)
+        assert g == q and hash(g) == hash(q)
+        assert len({g, q}) == 1
+        assert len({GaussianRational(Fraction(1)), 1}) == 1
+
     def test_mixed_arith_with_rationals(self):
         w = GaussianRational(Fraction(1, 2), Fraction(1, 3))
         assert (1 + w).re == Fraction(3, 2)

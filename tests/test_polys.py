@@ -1,6 +1,7 @@
 """Polynomial rings in v and w and the (1-w)-denominator rational layer."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -368,12 +369,16 @@ class TestRationalFnWStrings:
             == self.U_STRINGS[mode]
 
 
-class TestSharedOperators:
-    """Subtraction comes from numcore.RingOps for all four ring types."""
+RINGS = pytest.mark.parametrize(
+    "elements", [gaussians, polyvs, small_polyws, rational_fns],
+    ids=["GaussianRational", "PolyV", "PolyW", "RationalFnW"])
 
-    @pytest.mark.parametrize(
-        "elements", [gaussians, polyvs, small_polyws, rational_fns],
-        ids=["GaussianRational", "PolyV", "PolyW", "RationalFnW"])
+
+class TestSharedOperators:
+    """Every binary operator comes from numcore.RingOps for all four ring
+    types."""
+
+    @RINGS
     @given(data=st.data())
     def test_subtraction(self, elements, data):
         a, b = data.draw(elements), data.draw(elements)
@@ -381,6 +386,45 @@ class TestSharedOperators:
         assert a - b == a + (-b)
         assert x - a == -(a - x)
         assert a - x == a + (-x)
+
+    @RINGS
+    @pytest.mark.parametrize("other", [None, "x", 1.5, object()],
+                             ids=["None", "str", "float", "object"])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_an_operand_it_cannot_hold(self, elements, other, data):
+        a = data.draw(elements)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__eq__"):
+            assert getattr(a, name)(other) is NotImplemented, name
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+        assert not a == other and not other == a
+        assert a != other and other != a
+
+    @pytest.mark.parametrize("ring", [PolyV, PolyW, RationalFnW])
+    def test_polynomial_rings_stay_unhashable(self, ring):
+        with pytest.raises(TypeError):
+            hash(ring([1]))
+
+    @pytest.mark.parametrize("ring,lower", [
+        (PolyW, scalars | polyvs),
+        (RationalFnW, scalars | polyvs | small_polyws),
+    ], ids=["PolyW", "RationalFnW"])
+    @given(data=st.data())
+    def test_lower_rings_coerce_from_either_side(self, ring, lower, data):
+        a = data.draw(small_polyws if ring is PolyW else rational_fns)
+        x = data.draw(lower)
+        y = PolyW([x]) if ring is PolyW else RationalFnW(x, 0)
+        for got, want in ((a + x, a + y), (x + a, y + a),
+                          (a - x, a - y), (x - a, y - a),
+                          (a * x, a * y), (x * a, y * a)):
+            assert type(got) is ring and got == want
+        assert (a == x) == (a == y) == (x == a)
+        assert y == x and x == y
 
 
 class TestSqrt2Scaled:
@@ -403,11 +447,23 @@ class TestSqrt2Scaled:
             assert a != other and not a == other
             assert a.__eq__(other) is NotImplemented
             assert a.__mul__(other) is NotImplemented
+            assert a.__rmul__(other) is NotImplemented
             with pytest.raises(TypeError):
                 a * other
+            with pytest.raises(TypeError):
+                other * a
         assert Sqrt2Scaled(PolyV([3]), 0) == 3
         assert Sqrt2Scaled(PolyV([2]), 2) == PolyV([4])
         assert (a * Fraction(1, 2)).poly == PolyV([Fraction(1, 2)])
+
+    @pytest.mark.parametrize("other", [
+        2, Fraction(1, 3), PolyV([2, 1]), Sqrt2Scaled(PolyV([3]), 1)],
+        ids=["int", "Fraction", "PolyV", "Sqrt2Scaled"])
+    def test_multiplication_commutes(self, other):
+        a = Sqrt2Scaled(PolyV([1, 2]), 1)
+        left, right = a * other, other * a
+        assert type(right) is Sqrt2Scaled
+        assert (left.poly, left.half_pow) == (right.poly, right.half_pow)
 
     def test_str_forms(self):
         assert str(Sqrt2Scaled(PolyV([1, 1]), 2)) == "2 + 2*v"
