@@ -19,7 +19,13 @@ the two sides taking turns and the side that goes first alternating:
 * each acceptance criterion (``tests/test_acceptance.py::test_*``) in a
   pytest process of its own: the median wall time of five runs and the
   exit statuses;
-* tier-1 (``pytest -q``): wall time and the summary line.
+* tier-1 (``pytest -q``): wall time and the summary line;
+* deterministic counts: one untimed ``cProfile`` pass in a fresh
+  interpreter for each cold figure, for ``verify all`` and for the timed
+  ``eval-warm`` inputs of seed 1, each giving the calls and the share of
+  ``tottime`` of every layer (``LAYERS``) and the calls to
+  ``Fraction.__new__`` and ``math.gcd``.  Call counts do not move with the
+  machine's speed; the passes run with ``PYTHONHASHSEED=0``.
 
 The machine, the Python and mpmath versions and the two commits go in too.
 The benchmark keeps its own output in each temporary copy.
@@ -46,6 +52,61 @@ WORKLOADS = ("coeff-cold", "eval-warm", "oracle-sweep", "ledger-cold")
 PAIRS = 10
 TRACE_SEEDS = 3
 COLD_REPEATS = 5
+
+# the layers of the package, by module: (L0) tables and exact scalars,
+# (L1) the De Moivre triangles and polynomial rings, (L2) the coefficient
+# families, (L3) expansion evaluators and oracles, (L4) ledger and CLI
+LAYERS = {"L0": ("combinat", "numcore"), "L1": ("demoivre", "polys"),
+          "L2": ("coefficients",), "L3": ("asymptotics", "oracle"),
+          "L4": ("checks", "cli", "__init__", "__main__")}
+_LAYER_OF = {mod: layer for layer, mods in LAYERS.items() for mod in mods}
+
+# the eval-warm inputs of ``perfbench/run.py --workload eval-warm --seed 1``:
+# 440 untimed warm-up inputs, then 8,360 timed ones
+EVAL_WARMUP, EVAL_TIMED = 440, 8360
+
+# one profiled pass: ``setup`` runs untimed, ``stmt`` under cProfile, and the
+# raw (file, name, calls, tottime) rows are printed as JSON
+_PROFILE = """import cProfile, json, sys
+sys.set_int_max_str_digits(0)
+{setup}
+prof = cProfile.Profile()
+prof.enable()
+{stmt}
+prof.disable()
+prof.create_stats()
+print(json.dumps([[f, name, nc, tt] for (f, _, name), (_, nc, tt, _, _)
+                  in prof.stats.items()]))
+"""
+_COLD_SETUP = "from ramasym import coefficients as cf"
+# the eval-warm operations, driven from their op dicts as the benchmark's
+# worker does, with its coefficient memos filled and its warm-up run first
+_EVAL_SETUP = f"""from fractions import Fraction
+from mpmath import mp
+from ramasym import asymptotics as a, coefficients as cf
+from ramasym.numcore import GaussianRational
+sys.path.insert(0, "perfbench")
+import workloads
+POINT = {{"theta": a.theta_expansion, "gamma": a.gamma_expansion,
+         "psi": a.psi_expansion}}
+def call(op):
+    mp.dps = max(op["digits"] + 10, 30)
+    t, n, v, R, d = (op["target"], op["n"], Fraction(op["v"]), op["R"],
+                     op["digits"])
+    if t in POINT:
+        return POINT[t](n, v, R, d)
+    re, im = (Fraction(x) for x in op["w"])
+    w = GaussianRational(re, im) if im else re
+    return (a.S_expansion if t == "S" else a.T_expansion)(n, w, v, R, d)
+for r in range(workloads.EVAL_MAX_R):
+    cf.rho(r), cf.gamma_coeff(r), cf.psi(r), cf.U_coeff(r)
+ops = workloads.eval_ops(1, {EVAL_WARMUP + EVAL_TIMED})
+for op in ops[:{EVAL_WARMUP}]:
+    call(op)"""
+_EVAL_STMT = f"for op in ops[{EVAL_WARMUP}:]:\n    call(op)"
+_VERIFY_SETUP = "import contextlib, io\nfrom ramasym import cli"
+_VERIFY_STMT = ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['verify', 'all'])")
 
 # one table per fresh interpreter: (name, the statement that builds it);
 # the statement runs with ``cf`` bound to ramasym.coefficients
@@ -84,10 +145,10 @@ def _slots(side: Path) -> dict:
     return out
 
 
-def _run(side: Path, argv: list) -> tuple:
-    """Run argv in side with its ``src`` on the path: (stdout, wall s, exit
-    status)."""
-    env = dict(os.environ, PYTHONPATH=str(side / "src"))
+def _run(side: Path, argv: list, **env) -> tuple:
+    """Run argv in side with its ``src`` on the path and ``env`` set:
+    (stdout, wall s, exit status)."""
+    env = dict(os.environ, PYTHONPATH=str(side / "src"), **env)
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=side, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
@@ -120,6 +181,32 @@ def _cold(side: Path, stmt: str) -> float:
     if rc:
         raise RuntimeError(f"{stmt} failed in {side}")
     return float(out)
+
+
+def _counts(side: Path, setup: str, stmt: str) -> dict:
+    """The calls and the share of tottime of each layer in one profiled pass
+    of stmt, with the code outside the package as ``outside``, and the
+    calls to ``Fraction.__new__`` and ``math.gcd``."""
+    code = _PROFILE.format(setup=setup, stmt=stmt)
+    out, _, rc = _run(side, [sys.executable, "-c", code], PYTHONHASHSEED="0")
+    if rc:
+        raise RuntimeError(f"profiling {stmt!r} failed in {side}")
+    rows = json.loads(out.splitlines()[-1])
+    total = sum(tt for _, _, _, tt in rows) or 1.0
+    layers = {layer: {"calls": 0, "tottime_share": 0.0}
+              for layer in (*LAYERS, "outside")}
+    counts = {"Fraction.__new__": 0, "math.gcd": 0}
+    for path, name, calls, tt in rows:
+        p = Path(path)
+        layer = _LAYER_OF[p.stem] if p.parent.name == "ramasym" \
+            else "outside"
+        layers[layer]["calls"] += calls
+        layers[layer]["tottime_share"] += tt / total
+        if p.name == "fractions.py" and name == "__new__":
+            counts["Fraction.__new__"] += calls
+        elif name == "<built-in method math.gcd>":
+            counts["math.gcd"] += calls
+    return {"layers": layers, **counts}
 
 
 def _verify_all(side: Path) -> dict:
@@ -256,6 +343,12 @@ def main(argv=None) -> int:
                         sys.executable, "-m", "pytest", "-q",
                         "-p", "no:cacheprovider", node])
                     criteria[name][node].append((wall, rc))
+        passes = {key: (_COLD_SETUP, stmt) for key, stmt in cold.items()}
+        passes["verify all"] = (_VERIFY_SETUP, _VERIFY_STMT)
+        passes[f"eval-warm seed 1 ({EVAL_TIMED} timed inputs)"] = (
+            _EVAL_SETUP, _EVAL_STMT)
+        counts = {name: {key: _counts(side, *p) for key, p in passes.items()}
+                  for name, side in sides.items()}
         for name, side in turns(0):
             out, wall, rc = _run(side, [
                 sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -294,7 +387,7 @@ def main(argv=None) -> int:
                 node: {"wall_s": statistics.median(w for w, _ in runs),
                        "exits": [rc for _, rc in runs]}
                 for node, runs in criteria[name].items()},
-            "tier1": tier1[name]}
+            "tier1": tier1[name], "counts": counts[name]}
     report["compare"] = {
         w: {metric: _compare(bench["base"][w][metric],
                              bench["change"][w][metric],

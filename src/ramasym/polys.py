@@ -7,8 +7,9 @@ stacks PolyV coefficients into a dense polynomial in a second variable w.
 ``RationalFnW`` is the fraction N(w, v)/(w-1)^e kept in lowest terms with
 respect to the (w-1) factor.  ``Sqrt2Scaled`` tracks an exact multiple of an
 integer power of sqrt(2) so that intermediate half-integer-power quantities
-never leave exact arithmetic.  Evaluation is exact: the arguments are
-rationals, Gaussian rationals or ring elements.
+never leave exact arithmetic.  ``PolyV`` evaluates at rationals, Gaussian
+rationals or ring elements, ``PolyW`` and ``RationalFnW`` at an exact w and a
+rational v only, on Gaussian integers with one reduction per value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 
 from .combinat import stirling
-from .numcore import RingOps, format_rational
+from .numcore import GaussianRational, RingOps, format_rational
 
 
 def _join_terms(parts) -> str:
@@ -254,10 +255,9 @@ class PolyW(RingOps):
         return PolyW(q), rem
 
     def __call__(self, w, v):
-        acc = Fraction(0)
-        for co in reversed(self.c):
-            acc = acc * w + co(v)
-        return acc
+        """The value at an exact w and a rational v, summed on Gaussian
+        integers with one reduction (``_evaluate``)."""
+        return _evaluate(self, 0, w, v)
 
     def __str__(self):
         if not self.c:
@@ -271,6 +271,44 @@ class PolyW(RingOps):
 
     def __repr__(self):
         return f"PolyW({self})"
+
+
+def _evaluate(num: PolyW, e: int, w, v):
+    """N(w, v)/(w - 1)^e at an exact w and a rational v, on integers.
+
+    With w = (a + bi)/q, Horner runs on a Gaussian integer pair over the n
+    values c_j(v) over one denominator D: N = (x + yi) q/(D q^n).  With
+    (w - 1)^e = (s + ti)/q^e the quotient is divided once through the
+    conjugate s - ti and the norm s^2 + t^2.  A GaussianRational w gives a
+    GaussianRational, a rational w a Fraction, any other w or v a TypeError.
+    """
+    if isinstance(w, (int, Fraction)):
+        a, b, q = w.numerator, 0, w.denominator
+    elif isinstance(w, GaussianRational):
+        q = lcm(w.re.denominator, w.im.denominator)
+        a = w.re.numerator * (q // w.re.denominator)
+        b = w.im.numerator * (q // w.im.denominator)
+    else:
+        raise TypeError("w must be exact (int, Fraction or GaussianRational)")
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError("v must be rational (int or Fraction)")
+    cs = [co(v) for co in num.c]
+    D = lcm(*(c.denominator for c in cs))
+    x, y, qn = 0, 0, 1
+    for c in reversed(cs):
+        k = c.numerator * (D // c.denominator) * qn
+        x, y, qn = x * a - y * b + k, x * b + y * a, qn * q
+    s, t = 1, 0
+    for _ in range(e):
+        s, t = s * (a - q) - t * b, s * b + t * (a - q)
+    norm = s * s + t * t
+    if not norm:
+        raise ZeroDivisionError("pole at w = 1")
+    scale, d = q ** (e + 1), D * qn * norm
+    x, y = (x * s + y * t) * scale, (y * s - x * t) * scale
+    if isinstance(w, GaussianRational):
+        return GaussianRational(Fraction(x, d), Fraction(y, d))
+    return Fraction(x, d)
 
 
 _W_MINUS_1 = PolyW([-1, 1])
@@ -349,14 +387,9 @@ class RationalFnW(RingOps):
         return bool(self.num)
 
     def __call__(self, w, v=Fraction(0)):
-        """Evaluate at w (not 1 when e > 0) and v; exact in, exact out."""
-        top = self.num(w, v)
-        if self.e == 0:
-            return top
-        den = (w - 1) ** self.e
-        if not den:
-            raise ZeroDivisionError("pole at w = 1")
-        return top / den
+        """The value at an exact w (not 1 when e > 0) and a rational v, summed
+        on Gaussian integers with one reduction (``_evaluate``)."""
+        return _evaluate(self.num, self.e, w, v)
 
     def taylor_at_zero(self, terms: int):
         """First ``terms`` coefficients of the w-power series (PolyV list)."""

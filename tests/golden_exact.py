@@ -2,7 +2,9 @@
 
 Each line of the file reads ``family mode index digest``, where digest is
 the first 16 hex digits of the SHA-256 of ``str(value)`` and ``-`` stands
-for a family without modes.  ``test_golden.py`` recomputes every line.
+for a family without modes.  The ``U_at`` lines hold U_r(w; v) at exact
+points, digested as ``"<type name> <value>"`` so that the type of the result
+is pinned with its value.  ``test_golden.py`` recomputes every line.
 
 The file is written once, from a tree whose values are trusted, by
 
@@ -22,12 +24,20 @@ from ramasym.checks import convolution
 from ramasym.combinat import (associated_row, eulerian2, stirling,
                               stirling_associated)
 from ramasym.demoivre import demoivre, harmonic, inv_factorial
+from ramasym.numcore import GaussianRational
 from ramasym.polys import PolyW, RationalFnW, binomial_poly
 
 GOLDEN = Path(__file__).with_name("golden_exact.txt")
 
 _U_MODES = ("plain", "tilde", "vzero_harmonic", "vzero_factorial", "eulerian")
 _TAYLOR_TERMS = 10
+# U_r(w; v) at exact points: rational w as int and Fraction, Gaussian w, and
+# a real w held as a GaussianRational, so the result type is pinned too
+_U_AT_W = (Fraction(1, 2), 3, Fraction(-2, 7),
+           GaussianRational(Fraction(1, 2), Fraction(1, 3)),
+           GaussianRational(Fraction(-3, 4), Fraction(1, 4)),
+           GaussianRational(Fraction(5, 3), Fraction(0)))
+_U_AT_V = (0, 2, -3, Fraction(1, 2))
 
 
 def digest(value) -> str:
@@ -97,6 +107,13 @@ def golden_values():
                     stirling_associated(kind, n, k, r) for k in range(n + 1)]
     for n in range(30):
         yield "eulerian2", "-", n, [eulerian2(n, k) for k in range(n + 1)]
+    for r in range(13):
+        for mode in ("plain", "tilde"):
+            for w in _U_AT_W:
+                for v in _U_AT_V:
+                    x = cf.U_coeff(r, mode)(w, v)
+                    yield ("U_at", mode, f"{r}:{type(w).__name__}:{w}:{v}",
+                           f"{type(x).__name__} {x}")
 
 
 def golden_lines() -> list[str]:

@@ -213,6 +213,15 @@ class TestTailHeadExpansions:
         with pytest.raises(ValueError):
             T_expansion(25, Fraction(0), 0, 3, 30)
 
+    @pytest.mark.parametrize("w", [0.3, 2.0, 0.5 + 0.25j, mp.mpf("0.3")])
+    def test_an_inexact_w_is_refused(self, w):
+        # a float w once ran the U-series in float64: 0.3 asked for 40
+        # verified digits read 5.05e-17 off the same binary point held
+        # exactly as Fraction(0.3)
+        for fn in (S_expansion, T_expansion):
+            with pytest.raises(TypeError):
+                fn(70, w, 0, 6, 40)
+
     @pytest.mark.parametrize("w,v,regime,bound", [
         (Fraction(-1, 2), 1, "X", -5),
         (Fraction(1, 2), 0, "Y", -2),
