@@ -79,27 +79,18 @@ print(json.dumps([[f, name, nc, tt] for (f, _, name), (_, nc, tt, _, _)
                   in prof.stats.items()]))
 """
 _COLD_SETUP = "from ramasym import coefficients as cf"
-# the eval-warm operations, driven from their op dicts as the benchmark's
-# worker does, with its coefficient memos filled and its warm-up run first
-_EVAL_SETUP = f"""from fractions import Fraction
-from mpmath import mp
-from ramasym import asymptotics as a, coefficients as cf
-from ramasym.numcore import GaussianRational
+# the eval-warm operations through the benchmark's own worker: its set-up
+# fills the coefficient memos, each op is called as its ``eval_op`` calls it,
+# and the warm-up inputs run first; the worker sends stdout to stderr at
+# import and keeps the original stream as ``_PROTO``
+_EVAL_SETUP = f"""from mpmath import mp
 sys.path.insert(0, "perfbench")
-import workloads
-POINT = {{"theta": a.theta_expansion, "gamma": a.gamma_expansion,
-         "psi": a.psi_expansion}}
+import workloads, worker
+sys.stdout = worker._PROTO
+worker.eval_setup(workloads.EVAL_MAX_R)
 def call(op):
     mp.dps = max(op["digits"] + 10, 30)
-    t, n, v, R, d = (op["target"], op["n"], Fraction(op["v"]), op["R"],
-                     op["digits"])
-    if t in POINT:
-        return POINT[t](n, v, R, d)
-    re, im = (Fraction(x) for x in op["w"])
-    w = GaussianRational(re, im) if im else re
-    return (a.S_expansion if t == "S" else a.T_expansion)(n, w, v, R, d)
-for r in range(workloads.EVAL_MAX_R):
-    cf.rho(r), cf.gamma_coeff(r), cf.psi(r), cf.U_coeff(r)
+    return worker._eval_call(op, worker._w_in(op["w"]))
 ops = workloads.eval_ops(1, {EVAL_WARMUP + EVAL_TIMED})
 for op in ops[:{EVAL_WARMUP}]:
     call(op)"""

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from .coefficients import gamma_coeff, psi, rho, U_coeff
-from .numcore import _LOG2_10, GaussianRational, to_mp, verified_eval
+from .numcore import _LOG2_10, exact_parts, to_mp, verified_eval
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -254,8 +254,7 @@ def gamma_expansion(n, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
 
 def _tail_head_expansion(kind: str, n, w, v, R: int,
                          digits: int) -> ExpansionResult:
-    if not isinstance(w, (int, Fraction, GaussianRational)):
-        raise TypeError("w must be exact (int, Fraction or GaussianRational)")
+    exact_parts(w, "w"), exact_parts(v, "v")
     _check_order(n, R)
     label = classify(w, digits=digits)
     k = label.kind
@@ -314,7 +313,7 @@ def S_expansion(n, w, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
     Dispatches on classify(w): the U-series in X, Y, and on the S-side
     boundary; the mixed rho/gamma form at w = 1; the oscillatory boundary
     form on the T-side arc; the dominant sqrt(n)-scaled gamma form in Z;
-    and the exact value 0 at w = 0.  w must be exact, else TypeError.
+    and the exact value 0 at w = 0.  An inexact w or v is a TypeError.
     """
     return _tail_head_expansion("S", n, w, v, R, digits)
 
@@ -324,6 +323,6 @@ def T_expansion(n, w, v=0, R: int = 3, digits: int = 50) -> ExpansionResult:
 
     Mirror of S_expansion: the negated U-series in X, Z, and on the T-side
     boundary; the mixed form at w = 1; the oscillatory form on the S-side
-    arc; the dominant form in Y.  w = 0 is undefined; w must be exact.
+    arc; the dominant form in Y.  w = 0 is undefined; w, v must be exact.
     """
     return _tail_head_expansion("T", n, w, v, R, digits)

@@ -194,6 +194,15 @@ class GaussianRational(RingOps):
         return f"{format_rational(self.re)}{sign}{mag}"
 
 
+def exact_parts(z, name: str = "value") -> tuple:
+    """(re, im) of an int, Fraction or GaussianRational z, else TypeError."""
+    if isinstance(z, (int, Fraction)):
+        return z, 0
+    if isinstance(z, GaussianRational):
+        return z.re, z.im
+    raise TypeError(f"{name} must be exact, not {type(z).__name__}")
+
+
 _URAT = r"(?:\d+(?:\.\d+)?(?:/\d+)?|\.\d+)"
 _RAT = rf"[+-]?{_URAT}"
 

@@ -7,9 +7,8 @@ stacks PolyV coefficients into a dense polynomial in a second variable w.
 ``RationalFnW`` is the fraction N(w, v)/(w-1)^e kept in lowest terms with
 respect to the (w-1) factor.  ``Sqrt2Scaled`` tracks an exact multiple of an
 integer power of sqrt(2) so that intermediate half-integer-power quantities
-never leave exact arithmetic.  ``PolyV`` evaluates at rationals, Gaussian
-rationals or ring elements, ``PolyW`` and ``RationalFnW`` at an exact w and a
-rational v only, on Gaussian integers with one reduction per value.
+never leave exact arithmetic.  ``PolyW`` and ``RationalFnW`` evaluate at
+an exact w and v on Gaussian integers, with one reduction per value.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 
 from .combinat import stirling
-from .numcore import GaussianRational, RingOps, format_rational
+from .numcore import GaussianRational, RingOps, exact_parts, format_rational
 
 
 def _join_terms(parts) -> str:
@@ -255,8 +254,8 @@ class PolyW(RingOps):
         return PolyW(q), rem
 
     def __call__(self, w, v):
-        """The value at an exact w and a rational v, summed on Gaussian
-        integers with one reduction (``_evaluate``)."""
+        """The value at an exact w and v, summed on Gaussian integers with
+        one reduction (``_evaluate``)."""
         return _evaluate(self, 0, w, v)
 
     def __str__(self):
@@ -274,30 +273,23 @@ class PolyW(RingOps):
 
 
 def _evaluate(num: PolyW, e: int, w, v):
-    """N(w, v)/(w - 1)^e at an exact w and a rational v, on integers.
-
-    With w = (a + bi)/q, Horner runs on a Gaussian integer pair over the n
-    values c_j(v) over one denominator D: N = (x + yi) q/(D q^n).  With
-    (w - 1)^e = (s + ti)/q^e the quotient is divided once through the
-    conjugate s - ti and the norm s^2 + t^2.  A GaussianRational w gives a
-    GaussianRational, a rational w a Fraction, any other w or v a TypeError.
-    """
-    if isinstance(w, (int, Fraction)):
-        a, b, q = w.numerator, 0, w.denominator
-    elif isinstance(w, GaussianRational):
-        q = lcm(w.re.denominator, w.im.denominator)
-        a = w.re.numerator * (q // w.re.denominator)
-        b = w.im.numerator * (q // w.im.denominator)
-    else:
-        raise TypeError("w must be exact (int, Fraction or GaussianRational)")
-    if not isinstance(v, (int, Fraction)):
-        raise TypeError("v must be rational (int or Fraction)")
-    cs = [co(v) for co in num.c]
-    D = lcm(*(c.denominator for c in cs))
+    """N(w, v)/(w - 1)^e at an exact w and v: with w = (a + bi)/q and the
+    parts of the n values c_j(v) over one denominator D, Horner on a
+    Gaussian integer pair gives N = (x + yi) q/(D q^n), and the quotient by
+    (w - 1)^e = (s + ti)/q^e is divided once through s - ti and s^2 + t^2.
+    A GaussianRational w or v gives a GaussianRational, else a Fraction."""
+    (wr, wi), _ = exact_parts(w, "w"), exact_parts(v, "v")
+    q = lcm(wr.denominator, wi.denominator)
+    a, b = (p.numerator * (q // p.denominator) for p in (wr, wi))
+    cs = [exact_parts(co(v)) for co in num.c]
+    D = lcm(*(p.denominator for c in cs for p in c))
     x, y, qn = 0, 0, 1
-    for c in reversed(cs):
-        k = c.numerator * (D // c.denominator) * qn
-        x, y, qn = x * a - y * b + k, x * b + y * a, qn * q
+    for cr, ci in reversed(cs):
+        k = cr.numerator * (D // cr.denominator) * qn
+        x, y = x * a - y * b + k, x * b + y * a
+        if ci:
+            y += ci.numerator * (D // ci.denominator) * qn
+        qn *= q
     s, t = 1, 0
     for _ in range(e):
         s, t = s * (a - q) - t * b, s * b + t * (a - q)
@@ -306,7 +298,7 @@ def _evaluate(num: PolyW, e: int, w, v):
         raise ZeroDivisionError("pole at w = 1")
     scale, d = q ** (e + 1), D * qn * norm
     x, y = (x * s + y * t) * scale, (y * s - x * t) * scale
-    if isinstance(w, GaussianRational):
+    if isinstance(w, GaussianRational) or isinstance(v, GaussianRational):
         return GaussianRational(Fraction(x, d), Fraction(y, d))
     return Fraction(x, d)
 
@@ -387,8 +379,8 @@ class RationalFnW(RingOps):
         return bool(self.num)
 
     def __call__(self, w, v=Fraction(0)):
-        """The value at an exact w (not 1 when e > 0) and a rational v, summed
-        on Gaussian integers with one reduction (``_evaluate``)."""
+        """The value at an exact w (not 1 when e > 0) and v, summed on
+        Gaussian integers with one reduction (``_evaluate``)."""
         return _evaluate(self.num, self.e, w, v)
 
     def taylor_at_zero(self, terms: int):

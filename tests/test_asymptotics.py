@@ -222,6 +222,15 @@ class TestTailHeadExpansions:
             with pytest.raises(TypeError):
                 fn(70, w, 0, 6, 40)
 
+    @pytest.mark.parametrize("w", [Fraction(1, 2), Fraction(3)])
+    @pytest.mark.parametrize("v", [1.0, 0.5 + 0.25j, mp.mpf("0.5")])
+    def test_an_inexact_v_is_refused(self, w, v):
+        # refused alike where the U-series runs (S in Y, T in Z) and where
+        # the gamma form does (S in Z, T in Y)
+        for fn in (S_expansion, T_expansion):
+            with pytest.raises(TypeError):
+                fn(70, w, v, 6, 40)
+
     @pytest.mark.parametrize("w,v,regime,bound", [
         (Fraction(-1, 2), 1, "X", -5),
         (Fraction(1, 2), 0, "Y", -2),

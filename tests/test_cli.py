@@ -186,6 +186,44 @@ class TestEval:
         assert code == 0
         assert float(out.strip()) == pytest.approx(2.6525286e32, rel=1e-5)
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["S", "--n", "50", "--w", "1/2+1/3i", "--v", "1/2+1/3i"],
+         {"target": "S", "n": 50, "v": "1/2+1/3i", "w": "1/2+1/3i",
+          "terms": 3,
+          "value": "(1.4299886343130627294 + 0.86380667774506925797j)",
+          "perTerm": ["(1.3846153846153846154 + 0.92307692307692307692j)",
+                      "(0.053081474738279472007 - 0.053527537551206190259j)",
+                      "(-0.0077082250406013579572 - "
+                      "0.0057427077806476286922j)"],
+          "regime": "Y", "errorOrder": "O(n^(-3))"}),
+        (["T", "--n", "60", "--w", "-1/2+1/5i", "--v", "1/3-2i",
+          "--terms", "4"],
+         {"target": "T", "n": 60, "v": "1/3-2i", "w": "-1/2+1/5i",
+          "terms": 4,
+          "value": "(-0.65813411136760497619 - 0.079578052246312774008j)",
+          "perTerm": ["(-0.65502183406113537118 - 0.087336244541484716157j)",
+                      "(-0.0029847410320903968038 + "
+                      "0.0078925507847126477970j)",
+                      "(-0.00013109225047832927549 - "
+                      "0.00013209198423559610292j)",
+                      "(3.5559760991210712073e-6 - 2.2665053051095447935e-6j)"],
+          "regime": "X", "errorOrder": "O(n^(-4))"}),
+        (["T", "--n", "60", "--w", "3", "--v", "2+i", "--terms", "3"],
+         {"target": "T", "n": 60, "v": "2+i", "w": "3", "terms": 3,
+          "value": "(0.51872395833333333333 + 0.012656250000000000000j)",
+          "perTerm": ["0.50000000000000000000",
+                      "(0.01875 + 0.012500000000000000000j)",
+                      "(-0.000026041666666666666667 + "
+                      "0.00015625000000000000000j)"],
+          "regime": "Z", "errorOrder": "O(n^(-3))"}),
+    ])
+    def test_gaussian_v_on_the_u_series(self, capsys, argv, payload):
+        # the U-series at a Gaussian offset v, byte for byte as the
+        # ring-operator Horner printed it
+        code, out, err = run(capsys, "eval", *argv, "--digits", "20")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload, ensure_ascii=False) + "\n"
+
 
 class TestOracleCommand:
     def test_theta_payload(self, capsys):

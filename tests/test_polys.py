@@ -324,18 +324,19 @@ class TestRationalFnW:
 gaussian_ws = st.builds(GaussianRational, fracs, fracs.filter(bool))
 exact_ws = st.integers(-5, 5) | fracs | gaussian_ws | fracs.map(
     lambda x: GaussianRational(x, Fraction(0)))
+exact_vs = scalars | gaussian_ws
 
 
 def _ref_value(num: PolyW, e: int, w, v):
     """N(w, v)/(w - 1)^e by Horner over GaussianRational ring operators and
     one division: the reference for the integer evaluation, sharing none of
     its code.  Returns (re, im) as Fractions."""
-    g = GaussianRational(Fraction(w), Fraction(0)) \
-        if isinstance(w, (int, Fraction)) else w
+    g, h = (GaussianRational(Fraction(z), Fraction(0))
+            if isinstance(z, (int, Fraction)) else z for z in (w, v))
     acc = GaussianRational(Fraction(0), Fraction(0))
     for co in reversed(num.c):
-        acc = acc * g + sum((c * Fraction(v) ** i for i, c in
-                             enumerate(co.c)), Fraction(0))
+        acc = acc * g + sum((c * h ** i for i, c in enumerate(co.c)),
+                            Fraction(0))
     den = GaussianRational(Fraction(1), Fraction(0))
     for _ in range(e):
         den = den * (g - 1)
@@ -345,29 +346,29 @@ def _ref_value(num: PolyW, e: int, w, v):
 
 class TestExactEvaluation:
     """PolyW and RationalFnW at an exact point, against ``_ref_value``; the
-    result is a GaussianRational exactly when w is one."""
+    result is a GaussianRational exactly when w or v is one."""
 
     @staticmethod
-    def _check(got, w, want):
-        if isinstance(w, GaussianRational):
+    def _check(got, w, v, want):
+        if GaussianRational in (type(w), type(v)):
             assert type(got) is GaussianRational
             assert (got.re, got.im) == want
         else:
             assert type(got) is Fraction
             assert (got, Fraction(0)) == want
 
-    @given(polyws, exact_ws, scalars)
+    @given(polyws, exact_ws, exact_vs)
     @settings(deadline=None)
     def test_polyw_matches_the_reference(self, p, w, v):
-        self._check(p(w, v), w, _ref_value(p, 0, w, v))
+        self._check(p(w, v), w, v, _ref_value(p, 0, w, v))
 
-    @given(polyws, st.integers(0, 5), exact_ws, scalars)
+    @given(polyws, st.integers(0, 5), exact_ws, exact_vs)
     @settings(deadline=None)
     def test_rational_fn_matches_the_reference(self, num, e, w, v):
         f = RationalFnW(num, e)
         if f.e and w == 1:
             return
-        self._check(f(w, v), w, _ref_value(f.num, f.e, w, v))
+        self._check(f(w, v), w, v, _ref_value(f.num, f.e, w, v))
 
     @pytest.mark.parametrize("r", range(6))
     @pytest.mark.parametrize("mode", ["plain", "tilde"])
@@ -376,17 +377,20 @@ class TestExactEvaluation:
         for w in (GaussianRational(Fraction(1, 2), Fraction(1, 3)),
                   GaussianRational(Fraction(-7, 4), Fraction(0)),
                   Fraction(-2, 7), 3):
-            for v in (0, -3, Fraction(5, 2)):
-                self._check(f(w, v), w, _ref_value(f.num, f.e, w, v))
+            for v in (0, -3, Fraction(5, 2),
+                      GaussianRational(Fraction(1, 2), Fraction(-2, 3))):
+                self._check(f(w, v), w, v, _ref_value(f.num, f.e, w, v))
 
     @pytest.mark.parametrize("w, kind", [
         (2, Fraction), (Fraction(1, 3), Fraction),
         (GaussianRational(Fraction(5, 3), Fraction(0)), GaussianRational),
         (GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational)])
-    def test_result_type_follows_w(self, w, kind):
+    def test_result_type_follows_w_and_v(self, w, kind):
+        gv = GaussianRational(Fraction(1, 2), Fraction(1, 3))
         for f in (PolyW([1, PolyV([0, 1])]), RationalFnW(PolyW([1]), 2),
                   PolyW(), RationalFnW(PolyW(), 3)):
             assert type(f(w, Fraction(1, 2))) is kind
+            assert type(f(w, gv)) is GaussianRational
 
     def test_zero_keeps_the_gaussian_type(self):
         z = GaussianRational(Fraction(1, 2), Fraction(1, 3))
@@ -401,11 +405,12 @@ class TestExactEvaluation:
             with pytest.raises(TypeError):
                 f(w, 0)
 
-    @pytest.mark.parametrize("v", [0.5, GaussianRational(Fraction(1),
-                                                         Fraction(1))])
-    def test_a_non_rational_v_is_refused(self, v):
-        with pytest.raises(TypeError):
-            PolyW([1, PolyV([0, 1])])(Fraction(1, 2), v)
+    @pytest.mark.parametrize("v", [0.5, 0.5 + 1j, "1/2", None])
+    def test_an_inexact_v_is_refused(self, v):
+        for f in (PolyW([1, PolyV([0, 1])]), RationalFnW(PolyW([1]), 1),
+                  PolyW()):
+            with pytest.raises(TypeError):
+                f(Fraction(1, 2), v)
 
     @pytest.mark.parametrize("w", [1, Fraction(1), GaussianRational(1, 0),
                                    GaussianRational(Fraction(1),

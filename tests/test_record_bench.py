@@ -29,3 +29,11 @@ def test_counts_repeat_exactly():
     assert layers["L1"]["calls"] and layers["L2"]["calls"]
     assert not layers["L3"]["calls"] and not layers["L4"]["calls"]
     assert abs(sum(v["tottime_share"] for v in layers.values()) - 1) < 1e-9
+
+
+def test_the_eval_pass_runs_through_the_worker():
+    # the worker's stdout swap is undone, so the profile rows come back
+    stmt = f"call(ops[{record_bench.EVAL_WARMUP}])"
+    layers = record_bench._counts(ROOT, record_bench._EVAL_SETUP,
+                                  stmt)["layers"]
+    assert layers["L3"]["calls"] and not layers["L4"]["calls"]
