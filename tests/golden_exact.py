@@ -114,6 +114,16 @@ def golden_values():
                     x = cf.U_coeff(r, mode)(w, v)
                     yield ("U_at", mode, f"{r}:{type(w).__name__}:{w}:{v}",
                            f"{type(x).__name__} {x}")
+    # whole tables further out, where the integer double sums carry the
+    # widest numerators
+    for r in range(26, 61):
+        for mode in ("plain", "tilde"):
+            yield "rho", mode, r, cf.rho(r, mode)
+            yield "gamma", mode, r, cf.gamma_coeff(r, mode)
+        yield "tau", "-", r, cf.tau(r)
+    for r in range(13, 23):
+        for mode in _U_MODES[:4]:
+            yield "U", mode, r, cf.U_coeff(r, mode)
 
 
 def golden_lines() -> list[str]:
