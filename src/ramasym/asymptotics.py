@@ -212,7 +212,8 @@ def _plain_order(R: int) -> str:
 
 def _power_expansion(family, n, v, R: int, digits: int, order: str,
                      prefactor=lambda nm: 1) -> ExpansionResult:
-    """prefactor(n) * family(r)(v) / n^r summed over r < R."""
+    """prefactor(n) * family(r)(v) / n^r summed over r < R, v exact."""
+    exact_parts(v, "v")
     _check_order(n, R)
     coeffs = [family(r)(v) for r in range(R)]
 

@@ -194,6 +194,15 @@ class TestScalarExpansions:
             ref = mp.factorial(92)
             assert abs(e.value - ref) / ref < mp.mpf(10) ** -6
 
+    @pytest.mark.parametrize("v", [0.3, 0.5 + 0.25j, mp.mpf("0.3")])
+    def test_an_inexact_v_is_refused(self, v):
+        # a float v once ran the coefficients in float64: theta at v = 0.3
+        # asked for 40 verified digits read 1.6e-17 off the same binary
+        # point held exactly as Fraction(0.3)
+        for fn in (theta_expansion, gamma_expansion):
+            with pytest.raises(TypeError):
+                fn(70, v, 6, 40)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             theta_expansion(0, 0, 3)
