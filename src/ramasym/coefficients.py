@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, islice
-from math import factorial, lcm, perm
+from math import comb, factorial, lcm, perm
+from operator import mul
 from typing import Callable, Iterable, Optional
 
-from .combinat import binomial, double_factorial, eulerian2, stirling
+from .combinat import associated_row, binomial, double_factorial, \
+    eulerian2, stirling
 from .demoivre import CoeffSequence, harmonic, inv_factorial
-from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly, \
-    w_minus_1_pow
+from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, w_minus_1_pow
 
 _POLY_MODES = ("plain", "tilde")
 
@@ -42,47 +43,60 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_POLY_MODES}")
 
 
-def _outer_weight(mode: str, m: int, deg: int) -> PolyV:
-    """The v-dependent weight of the degree-(deg-m) outer term."""
-    if mode == "plain":
-        return binomial_poly(deg - m) * (-1) ** m
-    return PolyV._of([0] * (deg - m) + [1], factorial(deg - m))
-
-
 def _double_sum(deg: int, seq: CoeffSequence, weights: list,
-                outer: Callable[[int], object], lo: int = 0):
-    """sum_(m=lo..deg) outer(m) sum_k weights[k] A(m, k; seq), in the ring
-    the outer factors live in: the saddle-point double sum every family and
-    ``alpha_s`` are built from.  The weights are rational; they reach the
-    sequence's ``weighted_row`` (over one factorial for a library one) as
-    integers over their lcm d, and 1/d is applied once."""
+                outer: Callable[[int], object]):
+    """sum_(m<=deg) outer(m) sum_k weights[k] A(m, k; seq) in the ring of
+    the outer factors, for ``alpha_s``: ``weighted_row`` takes the rational
+    weights as integers over their lcm d, and 1/d is applied once."""
     d = lcm(*(w.denominator for w in weights))
     weights = [w.numerator * (d // w.denominator) for w in weights]
     total = Fraction(0)
-    for m in range(lo, deg + 1):
+    for m in range(deg + 1):
         inner = seq.weighted_row(m, weights)
         if inner:
             total = total + outer(m) * inner
     return total if d == 1 else total * Fraction(1, d)
 
 
-def _weighted_sum(mode: str, deg: int, weights: Iterable,
-                  at_zero: bool = False, shift: int = 2):
-    """The double sum over 1/(j+shift) (plain) or 1/(j+shift)! (tilde),
-    with the v-dependent outer weights and the rational inner weights, the
-    first deg + 1 of ``weights``: read only after the checks, and summed in
-    the rows as integers over one denominator.
+def _family_sums(mode: str, deg: int, vectors: list, lo: int, shift: int):
+    """sum_(m=lo..deg) outer_m(v) sum_k w_k A(m, k) over 1/(j+shift)
+    (plain, outer C(v, deg-m) (-1)^m) or 1/(j+shift)! (tilde, outer
+    v^(deg-m)/(deg-m)!) for each rational weight vector w (zero past its
+    end), from one walk over the integer rows: the v-numerators of each
+    sum over one D = d (deg + s deg)!, d the lcm of the weights'
+    denominators, which row m's (m + s m)! times (deg - m)! divides.  In
+    plain mode v^j has the sign (-1)^(deg-j) for every m, applied last."""
+    seq = harmonic(shift) if mode == "plain" else inv_factorial(shift)
+    d = lcm(*(w.denominator for ws in vectors for w in ws))
+    ints = [[w.numerator * (d // w.denominator) for w in ws] for ws in vectors]
+    rows = [seq.int_row(m) for m in range(lo, deg + 1)]
+    top = rows[-1][1]
+    sums = [[0] * (deg + 1) for _ in ints]
+    for m, (row, den) in enumerate(rows, lo):
+        scale = top // (den * factorial(deg - m))
+        for ws, out in zip(ints, sums):
+            x = scale * sum(map(mul, ws, row))
+            if mode == "tilde":
+                out[deg - m] += x
+            elif x:
+                cycle = associated_row("cycle", 0, deg - m)
+                out[:len(cycle)] = [o + x * c for o, c in zip(out, cycle)]
+    return [[-x if (deg - j) % 2 else x for j, x in enumerate(out)]
+            for out in sums] if mode == "plain" else sums, d * top
 
-    Only the m = deg term survives at v = 0; ``at_zero`` keeps just that
-    one, equal to the family's value at v = 0.
-    """
+
+def _weighted_sum(mode: str, deg: int, weights: Iterable,
+                  at_zero: bool = False, shift: int = 2) -> PolyV:
+    """The family double sum (``_family_sums``) with the first deg + 1 of
+    the rational ``weights``, read only after the checks.  Only the m = deg
+    term survives at v = 0; ``at_zero`` keeps just that one, equal to the
+    family's value at v = 0."""
     _check_mode(mode)
     if deg < 0:
         raise ValueError("index must be nonnegative")
-    seq = harmonic(shift) if mode == "plain" else inv_factorial(shift)
-    return _double_sum(deg, seq, list(islice(weights, deg + 1)),
-                       lambda m: _outer_weight(mode, m, deg),
-                       deg if at_zero else 0)
+    (num,), D = _family_sums(mode, deg, [list(islice(weights, deg + 1))],
+                             deg if at_zero else 0, shift)
+    return PolyV._of(num, D)
 
 
 def _double_factorial_weights(base: int):
@@ -272,18 +286,21 @@ def _U_coeff(r: int, mode: str, taylor_terms: Optional[int]) -> RationalFnW:
         raise ValueError(f"taylor_terms does not apply to mode {mode}")
 
     if mode in ("plain", "tilde", "vzero_harmonic", "vzero_factorial"):
-        # N = sum_k Q_k(v) w^(1 or k) (w-1)^(r-k), by Horner in (w-1) with
-        # N (w-1) = N w - N; Q_k is the families' sum over 1/(j+1) or
-        # 1/(j+1)! with the one weight c_k = -+(r+k)!/k! at k (the v = 0
-        # modes keep its m = r term)
+        # N = sum_k Q_k(v) w^(1 or k) (w-1)^(r-k) in integers over one
+        # denominator, by the binomial rows of (w-1)^(r-k); Q_k is the family
+        # sum over 1/(j+1) or 1/(j+1)! with the one weight c_k = -+(r+k)!/k!
+        # at k, all from one walk over the rows (v = 0 modes: the m = r term)
         form = "plain" if mode in ("plain", "vzero_harmonic") else "tilde"
-        num = PolyW()
-        for k in range(r + 1):
-            c = perm(r + k, r) * (-1 if form == "plain" else (-1) ** (k + 1))
-            q = _weighted_sum(form, r, [0] * k + [c] + [0] * (r - k),
-                              at_zero=mode.startswith("vzero"), shift=1)
-            num = PolyW([0, *num.c]) - num + PolyW.w_monomial(
-                1 if form == "plain" else k, q)
+        qs, D = _family_sums(form, r, [[0] * k + [-perm(r + k, r) * (
+            1 if form == "plain" else (-1) ** k)] for k in range(r + 1)],
+            r if mode.startswith("vzero") else 0, 1)
+        coeffs = [[0] * (r + 1) for _ in range(r + 2)]  # N's, by w-power
+        for k, q in enumerate(qs):
+            for i in range(r - k + 1):
+                b = comb(r - k, i) * (-1) ** (r - k - i)
+                j = i + (1 if form == "plain" else k)
+                coeffs[j] = [a + b * x for a, x in zip(coeffs[j], q)]
+        num = PolyW([PolyV._of(n, D) for n in coeffs])
         if r == 0 and form == "plain":
             num = num + w_minus_1_pow(1)
         return RationalFnW(num, 2 * r + 1)

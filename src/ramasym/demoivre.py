@@ -12,14 +12,13 @@ queries on one sequence are cheap.
 
 The library sequences 1/(j+s) and 1/(j+s)! (s >= 0) of ``harmonic`` and
 ``inv_factorial`` keep no triangle: they read the integer rows
-``combinat.associated_row``, one store per kind and shift, and sum each
-weighted row, the inner sum of every family, over one denominator,
-(m + s m)!.  The weights are always rational and arrive as integers over
-one denominator; U splits its w-dependence off by Horner in (w - 1).  Every
-other sequence takes truncated series convolution, row by row in k; its
-entries may live in any commutative ring that coerces ints and Fractions
-(exact rationals, polynomials, rational functions), since convolution
-only ever adds and multiplies.  The ledger's own routes are in ``checks``.
+``combinat.associated_row``, one store per kind and shift, and give row m
+of A as integers over one denominator, (m + s m)!, for the family sums to
+take one dot product per weight vector with.  Every other sequence takes
+truncated series convolution, row by row in k; its entries may live in
+any commutative ring that coerces ints and Fractions (exact rationals,
+polynomials, rational functions), since convolution only ever adds and
+multiplies.  The ledger's own routes are in ``checks``.
 """
 
 from __future__ import annotations
@@ -93,8 +92,8 @@ class CoeffSequence:
 class _Library(CoeffSequence):
     """1/(j + shift) (cycle) or 1/(j + shift)! (subset) with shift >= 0,
     as made by ``harmonic`` and ``inv_factorial``.  It has no triangle of
-    its own: each query reads A(m, k) = k!/(m + s k)! T_s(m, k) off the
-    integer rows ``combinat.associated_row(kind, s, m)``."""
+    its own: A(m, k) = k!/(m + s k)! T_s(m, k) is read off the integer rows
+    ``combinat.associated_row(kind, s, m)``, one entry or a whole row."""
 
     def __init__(self, term: Callable[[int], object], kind: str, shift: int):
         self.term, self.kind, self.shift = term, kind, shift
@@ -104,20 +103,18 @@ class _Library(CoeffSequence):
         return Fraction(factorial(k) * associated_row(self.kind, s, n)[k],
                         factorial(n + s * k))
 
-    def weighted_row(self, m: int, weights: list):
-        """sum_k weights[k] A(m, k) over the one denominator (m + s m)!,
-        the caller handing in integer weights: c = k! (m + s m)!/(m + s k)!
-        is carried down k, so each term is the integer weights[k] c
-        T_s(m, k), and the sum is scaled by 1/(m + s m)! once."""
+    def int_row(self, m: int) -> tuple:
+        """(N, D) with A(m, k) = N[k]/D for k = 0..m, over the one
+        denominator D = (m + s m)!: the carry c = k! (m + s m)!/(m + s k)!
+        runs down k once, and N[k] = c T_s(m, k)."""
         s = self.shift
         row = associated_row(self.kind, s, m)
-        c, acc = factorial(m), 0
+        out, c = [0] * (m + 1), factorial(m)
         for k in range(m, -1, -1):
-            if row[k]:
-                acc = acc + weights[k] * (c * row[k])
+            out[k] = c * row[k]
             if k:
                 c = c // k * perm(m + s * k, s)
-        return acc * Fraction(1, factorial(m + s * m))
+        return out, factorial(m + s * m)
 
 
 def harmonic(shift: int = 0) -> CoeffSequence:

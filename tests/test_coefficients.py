@@ -20,7 +20,7 @@ from ramasym.combinat import double_factorial
 from ramasym.coefficients import (SaddleData, U_coeff, alpha_s, beta,
                                   check_conjecture, gamma_coeff, gamma_zero,
                                   psi, psi_zero, rho, rho_zero, tau, tau_zero)
-from ramasym.demoivre import clear_caches
+from ramasym.demoivre import clear_caches, harmonic, inv_factorial
 from ramasym.numcore import GaussianRational
 from ramasym.polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, binomial_poly
 
@@ -280,6 +280,42 @@ class TestDoubleFactorialWeights:
                                     (-1) ** k * factorial(k))
                            for k in range(61)], base
             assert all(type(w) is Fraction for w in got)
+
+
+class TestFamilySums:
+    """The integer family sums, one walk over the library rows for every
+    weight vector, against the ring-generic ``_double_sum`` over the
+    convolution triangle with the outer weights built in PolyV."""
+
+    @staticmethod
+    def reference(mode, deg, shift, weights, lo):
+        lib = harmonic(shift) if mode == "plain" else inv_factorial(shift)
+
+        def outer(m):
+            if m < lo:
+                return 0
+            if mode == "plain":
+                return binomial_poly(deg - m) * (-1) ** m
+            return PolyV.monomial(deg - m, Fraction(1, factorial(deg - m)))
+
+        return cf._double_sum(deg, checks.convolution(lib), weights, outer)
+
+    @given(st.sampled_from(["plain", "tilde"]), st.integers(0, 12),
+           st.sampled_from([1, 2]), st.booleans(),
+           st.lists(fracs, min_size=13, max_size=13))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_ring_generic_sum(self, mode, deg, shift, at_zero,
+                                          weights):
+        # a drawn vector and U's single weights c_k = -+(deg+k)!/k! at k
+        vectors = [weights[:deg + 1]] + [
+            [0] * k + [(-1) ** k * factorial(deg + k) // factorial(k)]
+            + [0] * (deg - k) for k in range(deg + 1)]
+        lo = deg if at_zero else 0
+        sums, D = cf._family_sums(mode, deg, vectors, lo, shift)
+        assert len(sums) == len(vectors)
+        for num, ws in zip(sums, vectors):
+            assert PolyV._of(num, D) == \
+                self.reference(mode, deg, shift, ws, lo), ws
 
 
 class TestPsiDivision:

@@ -136,9 +136,10 @@ class TestIntegerRoute:
     @pytest.mark.parametrize("factory", [harmonic, inv_factorial])
     @pytest.mark.parametrize("s", range(4))
     def test_weighted_row_matches_the_convolution(self, factory, s):
-        """The row summed over one factorial against the loop over the
-        convolution triangle, with int weights (rational weights as
-        ``_double_sum`` passes them), Fraction and PolyW weights."""
+        """The integer row over (m + s m)!, entry by entry and weighted as
+        the family sums weigh it, against the loop over the convolution
+        triangle, with int weights (rational weights as the family sums
+        pass them), Fraction and PolyW weights."""
         lib = factory(s)
         conv = CoeffSequence(lib.term)
         integer = [(-1) ** k * (k + 2) * 10 ** (2 * k) for k in range(26)]
@@ -147,9 +148,15 @@ class TestIntegerRoute:
         ring = [PolyW([k, PolyV([Fraction(1, k + 1), -k])])
                 for k in range(26)]
         for m in range(26):
+            row, den = lib.int_row(m)
+            assert den == factorial(m + s * m)
+            assert all(type(x) is int for x in row)
+            assert [Fraction(x, den) for x in row] == \
+                [demoivre(m, k, conv) for k in range(m + 1)]
             for weights, kind in ((integer, Fraction), (rational, Fraction),
                                   (ring, PolyW)):
-                got = lib.weighted_row(m, weights)
+                got = sum(w * x for w, x in zip(weights, row)) \
+                    * Fraction(1, den)
                 assert got == conv.weighted_row(m, weights), (m, weights[0])
                 assert type(got) is kind
 

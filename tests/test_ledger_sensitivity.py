@@ -95,22 +95,39 @@ def test_a_wrong_route_value_fails_its_lines(monkeypatch, case):
     assert _failing(monkeypatch, module, name, key, error, suite) == want
 
 
-def test_a_wrong_library_row_fails_its_lines(monkeypatch):
-    """The row of 1/(j+1) at m = 2, summed over one factorial, feeds each
-    of the U family's sums Q_k; off there, the U lines fail."""
-    exact = _Library.weighted_row
+# (kind, shift, m, k) of one entry of an integer library row, and the
+# failing lines: row 2 of 1/(j+1) feeds the U family's sums Q_k, row 3 of
+# 1/(j+2) the rho, gamma and tau sums
+LIBRARY_ROWS = [
+    (("cycle", 1, 2, 1), {"dual-u-closed-modes", "dual-u-recurrence",
+                          "frozen-u-rational-functions"}),
+    (("cycle", 2, 3, 2), {"dual-gamma-recurrence", "dual-rho-recurrence",
+                          "dual-rho-scalar-sums", "frozen-psi-at-zero",
+                          "frozen-psi-polynomials", "frozen-rho-at-zero",
+                          "frozen-rho-polynomials",
+                          "rho-from-associated-cycle",
+                          "rho-from-associated-subset"}),
+]
 
-    def off_at_key(self, m, weights):
-        value = exact(self, m, weights)
-        return value + TINY if (self.kind, self.shift, m) == ("cycle", 1, 2) \
-            else value
+
+@pytest.mark.parametrize("key,want", LIBRARY_ROWS,
+                         ids=[f"{k}{s}-m{m}-k{j}" for (k, s, m, j), _ in
+                              LIBRARY_ROWS])
+def test_a_wrong_library_row_fails_its_lines(monkeypatch, key, want):
+    """One entry of the integer row over (m + s m)!, off by 1, reaches
+    every family sum that walks that row."""
+    exact = _Library.int_row
+
+    def off_at_key(self, m):
+        row, den = exact(self, m)
+        if (self.kind, self.shift, m) == key[:3]:
+            row = row[:key[3]] + [row[key[3]] + 1] + row[key[3] + 1:]
+        return row, den
 
     clear_caches()
-    monkeypatch.setattr(_Library, "weighted_row", off_at_key)
+    monkeypatch.setattr(_Library, "int_row", off_at_key)
     try:
-        assert {c.item for c in fast_and_ident() if not c.ok} == {
-            "dual-u-closed-modes", "dual-u-recurrence",
-            "frozen-u-rational-functions"}
+        assert {c.item for c in fast_and_ident() if not c.ok} == want
     finally:
         monkeypatch.undo()
         clear_caches()
