@@ -14,7 +14,7 @@ the two sides taking turns and the side that goes first alternating:
   medians and quartiles of every per-layer metric;
 * the cold figures, each the median of five runs in a fresh interpreter
   with every memo empty: the 16 ``coeff-cold`` slots at their highest R,
-  and nine larger tables;
+  and ten larger tables;
 * ``ramasym verify all``: wall time and peak RSS;
 * each acceptance criterion (``tests/test_acceptance.py::test_*``) in a
   pytest process of its own: the median wall time of five runs and the
@@ -109,6 +109,7 @@ _SLOT_CALL = {"rho": "cf.rho(r, {mode!r})",
               "rho_zero": "cf.rho_zero(r)", "psi_zero": "cf.psi_zero(r)"}
 LARGE = {"rho(0..60)": "[cf.rho(r) for r in range(61)]",
          "rho(0..100)": "[cf.rho(r) for r in range(101)]",
+         "gamma(0..100)": "[cf.gamma_coeff(r) for r in range(101)]",
          "rho(100)": "cf.rho(100)",
          "psi(30)": "cf.psi(30)",
          "check_conjecture(100)": "cf.check_conjecture(100)",
