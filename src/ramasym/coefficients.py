@@ -69,10 +69,10 @@ def _family_sums(mode: str, deg: int, vectors: list, lo: int, shift: int):
     seq = harmonic(shift) if mode == "plain" else inv_factorial(shift)
     d = lcm(*(w.denominator for ws in vectors for w in ws))
     ints = [[w.numerator * (d // w.denominator) for w in ws] for ws in vectors]
-    rows = [seq.int_row(m) for m in range(lo, deg + 1)]
-    top = rows[-1][1]
+    top = factorial(deg + shift * deg)
     sums = [[0] * (deg + 1) for _ in ints]
-    for m, (row, den) in enumerate(rows, lo):
+    for m in range(lo, deg + 1):
+        row, den = seq.int_row(m)
         scale = top // (den * factorial(deg - m))
         for ws, out in zip(ints, sums):
             x = scale * sum(map(mul, ws, row))
@@ -86,16 +86,16 @@ def _family_sums(mode: str, deg: int, vectors: list, lo: int, shift: int):
 
 
 def _weighted_sum(mode: str, deg: int, weights: Iterable,
-                  at_zero: bool = False, shift: int = 2) -> PolyV:
-    """The family double sum (``_family_sums``) with the first deg + 1 of
-    the rational ``weights``, read only after the checks.  Only the m = deg
-    term survives at v = 0; ``at_zero`` keeps just that one, equal to the
-    family's value at v = 0."""
+                  at_zero: bool = False) -> PolyV:
+    """The family double sum (``_family_sums``) over 1/(j+2) or 1/(j+2)!
+    with the first deg + 1 of the rational ``weights``, read after the
+    checks.  Only the m = deg term survives at v = 0; ``at_zero`` keeps
+    just that one, the family's value at v = 0."""
     _check_mode(mode)
     if deg < 0:
         raise ValueError("index must be nonnegative")
     (num,), D = _family_sums(mode, deg, [list(islice(weights, deg + 1))],
-                             deg if at_zero else 0, shift)
+                             deg if at_zero else 0, 2)
     return PolyV._of(num, D)
 
 
