@@ -95,27 +95,9 @@ def test_a_wrong_route_value_fails_its_lines(monkeypatch, case):
     assert _failing(monkeypatch, module, name, key, error, suite) == want
 
 
-# (kind, shift, m, k) of one entry of an integer library row, and the
-# failing lines: row 2 of 1/(j+1) feeds the U family's sums Q_k, row 3 of
-# 1/(j+2) the rho, gamma and tau sums
-LIBRARY_ROWS = [
-    (("cycle", 1, 2, 1), {"dual-u-closed-modes", "dual-u-recurrence",
-                          "frozen-u-rational-functions"}),
-    (("cycle", 2, 3, 2), {"dual-gamma-recurrence", "dual-rho-recurrence",
-                          "dual-rho-scalar-sums", "frozen-psi-at-zero",
-                          "frozen-psi-polynomials", "frozen-rho-at-zero",
-                          "frozen-rho-polynomials",
-                          "rho-from-associated-cycle",
-                          "rho-from-associated-subset"}),
-]
-
-
-@pytest.mark.parametrize("key,want", LIBRARY_ROWS,
-                         ids=[f"{k}{s}-m{m}-k{j}" for (k, s, m, j), _ in
-                              LIBRARY_ROWS])
-def test_a_wrong_library_row_fails_its_lines(monkeypatch, key, want):
-    """One entry of the integer row over (m + s m)!, off by 1, reaches
-    every family sum that walks that row."""
+def _failing_with_a_row_off(monkeypatch, key):
+    """The failing lines with the entry (kind, shift, m, k) of the integer
+    library row over (m + s m)! off by 1."""
     exact = _Library.int_row
 
     def off_at_key(self, m):
@@ -127,10 +109,29 @@ def test_a_wrong_library_row_fails_its_lines(monkeypatch, key, want):
     clear_caches()
     monkeypatch.setattr(_Library, "int_row", off_at_key)
     try:
-        assert {c.item for c in fast_and_ident() if not c.ok} == want
+        return {c.item for c in fast_and_ident() if not c.ok}
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def test_a_wrong_library_row_fails_its_lines(monkeypatch):
+    """Row 2 of 1/(j+1) feeds each of the U family's sums Q_k; off there,
+    the U lines fail."""
+    assert _failing_with_a_row_off(monkeypatch, ("cycle", 1, 2, 1)) == {
+        "dual-u-closed-modes", "dual-u-recurrence",
+        "frozen-u-rational-functions"}
+
+
+def test_a_wrong_family_row_fails_its_lines(monkeypatch):
+    """Row 3 of 1/(j+2) feeds the rho, gamma and tau sums, through the
+    integer outer sum of each."""
+    assert _failing_with_a_row_off(monkeypatch, ("cycle", 2, 3, 2)) == {
+        "dual-gamma-recurrence", "dual-rho-recurrence",
+        "dual-rho-scalar-sums", "frozen-psi-at-zero",
+        "frozen-psi-polynomials", "frozen-rho-at-zero",
+        "frozen-rho-polynomials", "rho-from-associated-cycle",
+        "rho-from-associated-subset"}
 
 
 # (base, k) of one weight (base + 2k)!!/((-1)^k k!), and the failing lines;
