@@ -124,6 +124,15 @@ def golden_values():
     for r in range(13, 23):
         for mode in _U_MODES[:4]:
             yield "U", mode, r, cf.U_coeff(r, mode)
+    # the v = 0 sums and the psi series division further out
+    for r in range(46, 101):
+        for mode in ("plain", "tilde"):
+            yield "rho_zero", mode, r, cf.rho_zero(r, mode)
+            yield "gamma_zero", mode, r, cf.gamma_zero(r, mode)
+        yield "tau_zero", "-", r, cf.tau_zero(r)
+        yield "psi_zero", "-", r, cf.psi_zero(r)
+    for r in range(13, 31):
+        yield "psi", "-", r, cf.psi(r)
 
 
 def golden_lines() -> list[str]:
