@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from mpmath import mp
@@ -551,6 +551,51 @@ def check_identities(max_n: int = 12) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the v = 0 values by series reversion, off the engine
+# ---------------------------------------------------------------------------
+
+def _laplace_dot(xs, ys) -> Fraction:
+    """sum x y, reduced once over the lcm of the products' denominators."""
+    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+    d = lcm(*dens)
+    return Fraction(sum(x.numerator * y.numerator * (d // e)
+                        for x, y, e in zip(xs, ys, dens)), d)
+
+
+def _laplace_at_zero(max_r: int):
+    """Yield (rho_r, gamma_r, tau_r, psi_r) at v = 0 for r <= max_r, by the
+    standard library alone, from the inverse series x(t) of x - log(1+x) =
+    t^2/2: gamma_r = (2r-1)!! [t^2r] x', rho_r = -2^r r! [t^(2r+1)] t/x,
+    tau_r = -(2r-1)!! [t^2r] x'/x, psi = tau / gamma by series division."""
+    top = 2 * max_r + 2
+    a = [Fraction(0), Fraction(1)]  # [t^n] x, from x x' = t (1 + x)
+    da = a[:]  # n a_n = [t^(n-1)] x'
+    for n in range(2, top + 1):
+        a.append((a[n - 1] - _laplace_dot(a[2:n], da[n - 1:1:-1])) / (n + 1))
+        da.append(n * a[n])
+    b = [Fraction(1)]  # [t^n] t/x, the inverse of 1 + a_2 t + a_3 t^2 + ...
+    for n in range(1, top):
+        b.append(-_laplace_dot(a[2:n + 2], b[::-1]))
+    gamma, psi = [], []
+    for r in range(max_r + 1):
+        odd = prod(range(1, 2 * r, 2))  # (2r-1)!!
+        gamma.append(odd * da[2 * r + 1])
+        tau = -odd * _laplace_dot(da[1:2 * r + 3], b[2 * r + 1::-1])
+        psi.append(tau - _laplace_dot(gamma[r:0:-1], psi))
+        yield -(2 ** r) * factorial(r) * b[2 * r + 1], gamma[r], tau, psi[r]
+
+
+def check_laplace_at_zero(max_r: int = 30) -> list:
+    """rho_r(0), gamma_r(0), tau_r(0) and psi_r(0) against the witness."""
+    return [_all_equal("laplace-at-zero", (
+        (zero(r), want, f"{name} r={r}") for r, row in
+        enumerate(_laplace_at_zero(max_r)) for name, zero, want in zip(
+            ("rho", "gamma", "tau", "psi"), (cf.rho_zero, cf.gamma_zero,
+                                             cf.tau_zero, cf.psi_zero), row)),
+        f"the v = 0 values by series reversion for r <= {max_r}")]
+
+
+# ---------------------------------------------------------------------------
 # the sign conjecture, the saddle engine, convergence, regions
 # ---------------------------------------------------------------------------
 
@@ -795,6 +840,7 @@ def run_identity_suite(max_r: Optional[int] = None) -> list:
     results += check_frozen_values()
     results += check_dual_forms(**dual_kwargs)
     results += check_identities()
+    results += check_laplace_at_zero()
     results += check_saddle()
     return sorted(results, key=lambda r: r.item)
 

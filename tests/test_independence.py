@@ -7,7 +7,9 @@ itself shows nothing.  For the same reason the oracles reach no engine
 module: ``oracle.py`` imports nothing of the package but ``numcore``.  These
 rules are read off the source with ``ast``.  The layers stay apart too: no
 library module imports the ledger or the CLI, so ``import ramasym`` loads
-neither.
+neither.  The ledger's series-reversion witness (``checks._laplace*``)
+reads only the standard library, so that its line pins the v = 0 values
+against a route that shares no code with the engine.
 """
 
 import ast
@@ -60,6 +62,35 @@ def package_modules(tree):
                 yield module.partition(".")[0]
             else:
                 yield from (alias.name for alias in node.names)
+
+
+def section_reaches(tree, prefix: str) -> set:
+    """The module-level names of ``tree`` that its functions named
+    ``prefix*`` read, other than those functions and names imported from
+    outside the package: a module of the package, or another helper of the
+    module, is reached through one of these."""
+    bound, outside = {}, set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            own = isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("ramasym")) \
+                or any(a.name.startswith("ramasym") for a in node.names)
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                bound[name] = node
+                if not own:
+                    outside.add(name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in ast.walk(node):
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node
+    section = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith(prefix)]
+    read = {n.id for fn in section for n in ast.walk(fn)
+            if isinstance(n, ast.Name)}
+    return (read & set(bound)) - outside - {fn.name for fn in section}
 
 
 def mpmath_names(tree):
@@ -127,6 +158,37 @@ def test_import_cli_loads_no_ledger():
     """``verify`` imports the ledger when it runs; no other command
     loads it."""
     assert _loaded_after_import("ramasym.cli", ("ramasym.checks",)) == "[]\n"
+
+
+def test_the_laplace_witness_reaches_no_engine_module():
+    tree = _tree(SRC / "checks.py")
+    assert any(isinstance(node, ast.FunctionDef)
+               and node.name == "_laplace_at_zero" for node in tree.body)
+    assert not section_reaches(tree, "_laplace")
+
+
+@pytest.mark.parametrize("code", [
+    "from . import coefficients as cf\ndef _laplace_x(r):\n"
+    "    return cf.rho_zero(r)",
+    "from .combinat import double_factorial\ndef _laplace_x(r):\n"
+    "    return double_factorial(2 * r - 1)",
+    "import ramasym.polys\ndef _laplace_x():\n"
+    "    return ramasym.polys.PolyV()",
+    "from ramasym.demoivre import harmonic as h\ndef _laplace_x():\n"
+    "    return h(2)",
+    "def _min3(n):\n    return n\ndef _laplace_x(n):\n    return _min3(n)",
+    "_V = object()\ndef _laplace_x():\n    return _V",
+])
+def test_a_witness_reaching_the_package_is_seen(code):
+    assert section_reaches(ast.parse(code), "_laplace")
+
+
+def test_a_witness_on_the_standard_library_passes():
+    code = ("from fractions import Fraction\nfrom math import prod\n"
+            "def _laplace_y(n):\n    return Fraction(n)\n"
+            "def _laplace_x(n):\n    a = [prod(range(n))]\n"
+            "    return _laplace_y(a[0])")
+    assert not section_reaches(ast.parse(code), "_laplace")
 
 
 @pytest.mark.parametrize("code", [
