@@ -38,11 +38,6 @@ from .polys import PolyV, PolyW, RationalFnW, Sqrt2Scaled, w_minus_1_pow
 _POLY_MODES = ("plain", "tilde")
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _POLY_MODES:
-        raise ValueError(f"mode must be one of {_POLY_MODES}")
-
-
 def _double_sum(deg: int, seq: CoeffSequence, weights: list,
                 outer: Callable[[int], object]):
     """sum_(m<=deg) outer(m) sum_k weights[k] A(m, k; seq) in the ring of
@@ -86,17 +81,18 @@ def _family_sums(mode: str, deg: int, vectors: list, lo: int, shift: int):
 
 
 def _weighted_sum(mode: str, deg: int, weights: Iterable,
-                  at_zero: bool = False) -> PolyV:
+                  at_zero: bool = False):
     """The family double sum (``_family_sums``) over 1/(j+2) or 1/(j+2)!
     with the first deg + 1 of the rational ``weights``, read after the
     checks.  Only the m = deg term survives at v = 0; ``at_zero`` keeps
-    just that one, the family's value at v = 0."""
-    _check_mode(mode)
+    just that one and gives the family's value at v = 0 as a Fraction."""
+    if mode not in _POLY_MODES:
+        raise ValueError(f"mode must be one of {_POLY_MODES}")
     if deg < 0:
         raise ValueError("index must be nonnegative")
     (num,), D = _family_sums(mode, deg, [list(islice(weights, deg + 1))],
                              deg if at_zero else 0, 2)
-    return PolyV._of(num, D)
+    return Fraction(num[0], D) if at_zero else PolyV._of(num, D)
 
 
 def _double_factorial_weights(base: int):
@@ -108,25 +104,40 @@ def _double_factorial_weights(base: int):
         w = Fraction(w.numerator * (base + 2 * k), w.denominator * -k)
 
 
+def _df_sum(mode: str, m: int, base: int, at_zero: bool):
+    """``_weighted_sum`` of degree m with the weights above; in plain mode at
+    v = 0, past its checks, the carry (-1)^m sum_k (-1)^k (base + 2k)!!
+    T_2(m, k)/(m + 2k)! over the cycle row T_2(m, .) (the weight's 1/k!
+    cancels A(m, k)'s k!): for base = m - 1 (rho, gamma) 1/(m + 2k)!! over
+    (3m)!!, for m - 2 (tau) over (3m)!, by one small product per k."""
+    if not at_zero or mode != "plain" or m < 0:
+        return _weighted_sum(mode, m, _double_factorial_weights(base), at_zero)
+    row, odd = associated_row("cycle", 2, m), base == m - 1
+    c, total = 1 if odd else double_factorial(3 * m - 2), 0
+    for k in range(m, -1, -1):
+        total += -c * row[k] if k % 2 else c * row[k]
+        c = c * (m + 2 * k) if odd else \
+            c * (m + 2 * k) * (m + 2 * k - 1) // (m + 2 * k - 2)
+    return Fraction(-total if m % 2 else total,
+                    double_factorial(3 * m) if odd else factorial(3 * m))
+
+
 # Memos keyed by value: always called positionally, with every argument.
 
 @lru_cache(maxsize=None)
-def _rho_sum(r: int, mode: str, at_zero: bool) -> PolyV:
-    total = _weighted_sum(mode, 2 * r + 1, _double_factorial_weights(2 * r),
-                          at_zero)
+def _rho_sum(r: int, mode: str, at_zero: bool):
+    total = _df_sum(mode, 2 * r + 1, 2 * r, at_zero)
     return (1 if mode == "plain" and r == 0 else 0) - total
 
 
 @lru_cache(maxsize=None)
-def _gamma_sum(r: int, mode: str, at_zero: bool) -> PolyV:
-    return _weighted_sum(mode, 2 * r, _double_factorial_weights(2 * r - 1),
-                         at_zero)
+def _gamma_sum(r: int, mode: str, at_zero: bool):
+    return _df_sum(mode, 2 * r, 2 * r - 1, at_zero)
 
 
 @lru_cache(maxsize=None)
-def _tau_sum(r: int, at_zero: bool) -> PolyV:
-    return -_weighted_sum("plain", 2 * r + 1,
-                          _double_factorial_weights(2 * r - 1), at_zero)
+def _tau_sum(r: int, at_zero: bool):
+    return -_df_sum("plain", 2 * r + 1, 2 * r - 1, at_zero)
 
 
 @lru_cache(maxsize=None)
@@ -173,15 +184,26 @@ def tau(r: int) -> PolyV:
 @lru_cache(maxsize=None)
 def _psi_sum(r: int, at_zero: bool):
     """psi_r = tau_r - sum_(m<r) gamma_(r-m) psi_m: tau divided by the gamma
-    series, exact since gamma_0 = 1.  m runs upward, so a cold call finds
-    each psi_m memoized instead of recursing r deep."""
+    series, exact since gamma_0 = 1; a Fraction at v = 0, else a PolyV.  The
+    products' numerators, tau_r's as tau_r (-1), are summed in integers over
+    G L, the lcms of the left and right factors' denominators, and reduced
+    once.  m runs upward: a cold call finds each psi_m memoized."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     tau_, gamma = (tau_zero, gamma_zero) if at_zero else (tau, gamma_coeff)
-    total = tau_(r)
-    for m in range(r):
-        total = total - gamma(r - m) * _psi_sum(m, at_zero)
-    return total
+    parts = (lambda x: ((x.numerator,), x.denominator)) if at_zero else \
+        (lambda p: (p.n, p.d))  # numerators and denominator
+    pairs = [(parts(tau_(r)), ((-1,), 1))] + [
+        (parts(gamma(r - m)), parts(_psi_sum(m, at_zero))) for m in range(r)]
+    G, L = lcm(*(g[1] for g, _ in pairs)), lcm(*(p[1] for _, p in pairs))
+    acc = [0] * (1 if at_zero else 2 * r + 2)
+    for (gn, gd), (pn, pd) in pairs:
+        s = G // gd * (L // pd)
+        for i, x in enumerate(gn):
+            x *= s
+            for j, y in enumerate(pn, i):
+                acc[j] -= x * y
+    return Fraction(acc[0], G * L) if at_zero else PolyV._of(acc, G * L)
 
 
 def psi(r: int) -> PolyV:
@@ -189,33 +211,33 @@ def psi(r: int) -> PolyV:
 
     The series quotient tau / (1 + gamma_1 x + gamma_2 x^2 + ...) over the
     polynomial ring in v, by the division psi_r = tau_r - sum_(m<r)
-    gamma_(r-m) psi_m.  psi(0) == -1/3 - v and psi(1)(0) == 4/135.
+    gamma_(r-m) psi_m, in integers.  psi(0) == -1/3 - v, psi(1)(0) == 4/135.
     """
     return _psi_sum(r, False)
 
 
 # ---------------------------------------------------------------------------
-# v = 0 specializations: the m = deg term of each family's sum (also the
-# conjecture fast path)
+# v = 0 specializations, the m = deg terms (also the conjecture fast path)
 # ---------------------------------------------------------------------------
 
 def rho_zero(r: int, mode: str = "plain") -> Fraction:
-    """rho_r(0) by its single-sum form over 1/(j+2) (plain) or 1/(j+2)! (tilde)."""
-    return _rho_sum(r, mode, True).coeff(0)
+    """rho_r(0): plain by the carry of ``_df_sum``, tilde over 1/(j+2)!."""
+    return _rho_sum(r, mode, True)
 
 
 def gamma_zero(r: int, mode: str = "plain") -> Fraction:
     """gamma_r(0) by its single-sum form; both modes must agree."""
-    return _gamma_sum(r, mode, True).coeff(0)
+    return _gamma_sum(r, mode, True)
 
 
 def tau_zero(r: int) -> Fraction:
-    return _tau_sum(r, True).coeff(0)
+    """tau_r(0) by the carry of ``_df_sum`` over the cycle row T_2(2r+1, .)."""
+    return _tau_sum(r, True)
 
 
 def psi_zero(r: int) -> Fraction:
-    """psi_r(0) by the same series division as psi, over the v = 0 values
-    tau_r(0) and gamma_r(0)."""
+    """psi_r(0) by the same integer series division as psi, over the v = 0
+    values tau_r(0) and gamma_r(0)."""
     return _psi_sum(r, True)
 
 
@@ -244,11 +266,9 @@ def check_conjecture(max_r: int) -> ConjectureReport:
     """Exact test of psi_r(0) = (-1)^(r+1) rho_r(0) for 0 <= r <= max_r."""
     if max_r < 0:
         raise ValueError("max_r must be nonnegative")
-    rows = []
-    for r in range(max_r + 1):
-        rows.append(ConjectureRow(r, psi_zero(r),
-                                  Fraction((-1) ** (r + 1)) * rho_zero(r)))
-    return ConjectureReport(tuple(rows), all(row.equal for row in rows))
+    rows = tuple(ConjectureRow(r, psi_zero(r), (-1) ** (r + 1) * rho_zero(r))
+                 for r in range(max_r + 1))
+    return ConjectureReport(rows, all(row.equal for row in rows))
 
 
 # ---------------------------------------------------------------------------

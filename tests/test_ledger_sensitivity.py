@@ -4,7 +4,9 @@ A case wraps one primitive so that it returns a value off by 10^-9 (by 1
 for an integer route) at one key and is exact everywhere else, runs one
 suite, and asserts exactly which lines fail.  Families are mutated in
 ``ramasym.coefficients``, where the ledger reads them through ``cf.*``;
-combinatorial routes in ``ramasym.checks``, where it reads them by name.
+combinatorial routes in ``ramasym.checks``, where it reads them by name,
+and the v = 0 carry of ``_df_sum`` in ``ramasym.coefficients``.  Every case
+starts and ends with the memos empty.
 """
 
 from fractions import Fraction
@@ -29,6 +31,10 @@ def ident():
 
 def fast_and_ident():
     return fast() + ident()
+
+
+def fast_and_laplace():
+    return fast() + checks.check_laplace_at_zero()
 
 
 # (module, attribute, key, error, suite, failing lines); a key matches the
@@ -58,6 +64,10 @@ ROUTES = [
      {"closed-forms-vs-convolution", "eulerian2-recovered-factorial",
       "eulerian2-recovered-harmonic", "eulerian2-row-sums",
       "eulerian2-to-stirling-cycle", "eulerian2-to-stirling-subset"}),
+    # the carry for tau_12(0), row 25 over base 23: past the frozen table,
+    # only the series-reversion witness reads it
+    (cf, "_df_sum", ("plain", 25, 23, True), TINY, fast_and_laplace,
+     {"laplace-at-zero"}),
 ]
 
 
@@ -92,7 +102,11 @@ def test_a_wrong_family_value_fails_its_lines(monkeypatch, case):
 @pytest.mark.parametrize("case", ROUTES, ids=_case_id)
 def test_a_wrong_route_value_fails_its_lines(monkeypatch, case):
     module, name, key, error, suite, want = case
-    assert _failing(monkeypatch, module, name, key, error, suite) == want
+    clear_caches()
+    try:
+        assert _failing(monkeypatch, module, name, key, error, suite) == want
+    finally:
+        clear_caches()
 
 
 def _failing_with_a_row_off(monkeypatch, key):
@@ -109,7 +123,8 @@ def _failing_with_a_row_off(monkeypatch, key):
     clear_caches()
     monkeypatch.setattr(_Library, "int_row", off_at_key)
     try:
-        return {c.item for c in fast_and_ident() if not c.ok}
+        return {c.item for c in fast_and_ident() + checks.check_saddle()
+                if not c.ok}
     finally:
         monkeypatch.undo()
         clear_caches()
@@ -117,21 +132,22 @@ def _failing_with_a_row_off(monkeypatch, key):
 
 def test_a_wrong_library_row_fails_its_lines(monkeypatch):
     """Row 2 of 1/(j+1) feeds each of the U family's sums Q_k; off there,
-    the U lines fail."""
+    the U lines fail, and the saddle engine's U, which reads no row, no
+    longer matches."""
     assert _failing_with_a_row_off(monkeypatch, ("cycle", 1, 2, 1)) == {
         "dual-u-closed-modes", "dual-u-recurrence",
-        "frozen-u-rational-functions"}
+        "frozen-u-rational-functions", "saddle-reproduces-u"}
 
 
 def test_a_wrong_family_row_fails_its_lines(monkeypatch):
-    """Row 3 of 1/(j+2) feeds the rho, gamma and tau sums, through the
-    integer outer sum of each."""
+    """Row 3 of 1/(j+2) feeds the rho, gamma and tau polynomials and beta,
+    through the integer outer sum of each.  The plain v = 0 values read the
+    cycle rows themselves (the carry of ``_df_sum``), not this row, so no
+    v = 0 line fails."""
     assert _failing_with_a_row_off(monkeypatch, ("cycle", 2, 3, 2)) == {
         "dual-gamma-recurrence", "dual-rho-recurrence",
-        "dual-rho-scalar-sums", "frozen-psi-at-zero",
-        "frozen-psi-polynomials", "frozen-rho-at-zero",
-        "frozen-rho-polynomials", "rho-from-associated-cycle",
-        "rho-from-associated-subset"}
+        "frozen-psi-polynomials", "frozen-rho-polynomials",
+        "saddle-reproduces-beta"}
 
 
 # (base, k) of one weight (base + 2k)!!/((-1)^k k!), and the failing lines;
@@ -139,8 +155,7 @@ def test_a_wrong_family_row_fails_its_lines(monkeypatch):
 DOUBLE_FACTORIAL = [
     ((4, 1), {"anchor-rho-from-beta", "anchor-rho-tilde-from-beta",
               "dual-rho-recurrence", "dual-rho-scalar-sums",
-              "frozen-rho-at-zero", "frozen-rho-polynomials",
-              "rho-from-associated-cycle", "rho-from-associated-subset"}),
+              "frozen-rho-polynomials"}),
     ((3, 0), {"anchor-gamma-from-beta", "dual-gamma-recurrence",
               "frozen-psi-polynomials"}),
 ]
@@ -152,8 +167,10 @@ DOUBLE_FACTORIAL = [
 def test_a_wrong_double_factorial_weight_fails_its_lines(monkeypatch, key,
                                                          want):
     """Plain and tilde read the same weights, yet their sums weigh a wrong
-    weight differently, so the dual lines fail.  The weight at k = 0 meets
-    only the row m = 0, which has no v = 0 term, so no v = 0 line sees it."""
+    weight differently, so the dual lines fail.  Of the v = 0 values only
+    the tilde ones read the weights (the plain ones take the carry), so the
+    dual scalar sums fail and the plain v = 0 lines do not.  The weight at
+    k = 0 meets only the row m = 0, which has no v = 0 term."""
     exact = cf._double_factorial_weights
 
     def off_at_key(base):
