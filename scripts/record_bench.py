@@ -14,7 +14,7 @@ the two sides taking turns and the side that goes first alternating:
   medians and quartiles of every per-layer metric;
 * the cold figures, each the median of five runs in a fresh interpreter
   with every memo empty: the 16 ``coeff-cold`` slots at their highest R,
-  and ten larger tables;
+  and twelve larger tables and scans;
 * ``ramasym verify all``: wall time and peak RSS;
 * each acceptance criterion (``tests/test_acceptance.py::test_*``) in a
   pytest process of its own: the median wall time of five runs and the
@@ -114,6 +114,8 @@ LARGE = {"rho(0..60)": "[cf.rho(r) for r in range(61)]",
          "psi(30)": "cf.psi(30)",
          "check_conjecture(100)": "cf.check_conjecture(100)",
          "check_conjecture(150)": "cf.check_conjecture(150)",
+         "check_conjecture(300)": "cf.check_conjecture(300)",
+         "psi_zero(0..45)": "[cf.psi_zero(r) for r in range(46)]",
          "U_coeff(25)": "cf.U_coeff(25)",
          "U_coeff(0..25, tilde)":
              "[cf.U_coeff(r, 'tilde') for r in range(26)]",
