@@ -69,28 +69,28 @@ def section_reaches(tree, prefix: str) -> set:
     ``prefix*`` read, other than those functions and names imported from
     outside the package: a module of the package, or another helper of the
     module, is reached through one of these."""
-    bound, outside = {}, set()
+    bound, outside = set(), set()
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            own = isinstance(node, ast.ImportFrom) and (
-                node.level or (node.module or "").startswith("ramasym")) \
-                or any(a.name.startswith("ramasym") for a in node.names)
-            for alias in node.names:
-                name = (alias.asname or alias.name).partition(".")[0]
-                bound[name] = node
-                if not own:
-                    outside.add(name)
+            names = {(a.asname or a.name).partition(".")[0]
+                     for a in node.names}
+            bound |= names
+            if not (isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("ramasym"))
+                    or any(a.name.startswith("ramasym") for a in node.names)):
+                outside |= names
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            bound[node.name] = node
+            bound.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in ast.walk(node):
-                if isinstance(target, ast.Name):
-                    bound[target.id] = node
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
     section = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                and node.name.startswith(prefix)]
     read = {n.id for fn in section for n in ast.walk(fn)
             if isinstance(n, ast.Name)}
-    return (read & set(bound)) - outside - {fn.name for fn in section}
+    return (read & bound) - outside - {fn.name for fn in section}
 
 
 def mpmath_names(tree):
